@@ -37,7 +37,8 @@ print("embedded matrix:", dense.shape, "(dim x tokens)")
 # 2. One convolution channel: sliding windows of 2 words, 5 filters, ReLU.
 #    Width shrinks to tokens - window + 1.
 # ---------------------------------------------------------------------------
-fm = conv1d_forward(dense, params.conv[0])
+fm = conv1d_forward(dense, params.tensors["conv2.weights"],
+                    params.tensors["conv2.bias"])
 print("feature map:", fm.shape, "min value:", fm.min(), "(never negative)")
 
 # ---------------------------------------------------------------------------
@@ -51,7 +52,10 @@ print("pooled map: ", pooled.shape)
 # 4. The bidirectional recurrence walks the pooled sequence both ways and
 #    concatenates the two final states into the channel summary.
 # ---------------------------------------------------------------------------
-outputs, summary = bigru_forward(pooled.T, params.gru[0])
+gates = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h")
+fw = {g: params.tensors[f"gru2.fw.{g}"] for g in gates}
+bw = {g: params.tensors[f"gru2.bw.{g}"] for g in gates}
+outputs, summary = bigru_forward(pooled.T, fw, bw)
 print("per-step outputs:", outputs.shape, " summary:", summary.shape)
 
 # ---------------------------------------------------------------------------

@@ -44,18 +44,15 @@ from .errors import (
 from .harness import CvReport, FoldPlan, plan_folds, report_to_csv, report_to_json, run_cv
 from .metrics import expected_matrix, observed_matrix, qwk, read_predictions, weight_matrix
 from .network import (
-    ConvChannel,
-    DenseHead,
-    GruDirection,
-    GruParameters,
     ModelParameters,
     bigru_forward,
     conv1d_forward,
-    dropout,
+    expected_shapes,
     forward,
     forward_batch,
     gru_step,
     init_parameters,
+    make_drop_mask,
     maxpool,
 )
 from .training import (

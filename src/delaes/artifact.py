@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .corpus import ScoreRange, Vocabulary
-from .errors import FormatError
+from .errors import DelaesError, FormatError
 from .network import ModelParameters
 
 MAGIC = b"DELAES01"
@@ -49,13 +49,12 @@ def save_model(params: ModelParameters, vocab: Vocabulary,
         "embedding_trainable": params.embedding_trainable,
     }
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    tensors = list(params.named_tensors())
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors:
+        fh.write(struct.pack("<I", len(params.tensors)))
+        for name, tensor in params.tensors.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -83,8 +82,17 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
+def _field(meta, key: str, kind: type):
+    """``meta[key]``, required to be present and of type ``kind``."""
+    value = meta.get(key) if isinstance(meta, dict) else None
+    if not isinstance(value, kind):
+        raise FormatError(f"metadata field {key!r} missing or not a {kind.__name__}")
+    return value
+
+
 def load_model(path) -> ModelArtifact:
-    """Read an artifact, rejecting unknown magic or tensor shape mismatches."""
+    """Read an artifact, rejecting unknown magic, malformed metadata or tensor
+    names and shapes that do not match the recorded config and vocabulary."""
     reader = _Reader(path)
     if reader.take(len(MAGIC)) != MAGIC:
         raise FormatError(f"{path}: not a DELAES01 artifact")
@@ -93,14 +101,12 @@ def load_model(path) -> ModelArtifact:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: corrupt metadata block: {exc}") from None
 
-    cfg = TrainConfig.from_dict(meta["config"])
-    vocab = Vocabulary(meta["vocabulary"])
-    rng = meta["score_range"]
-    score_range = ScoreRange(rng["prompt_id"], rng["min"], rng["max"])
-
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
+        try:
+            name = reader.take(reader.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from None
         ndim = reader.u32()
         shape = tuple(reader.u32() for _ in range(ndim))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -111,10 +117,17 @@ def load_model(path) -> ModelArtifact:
         raise FormatError(f"{path}: trailing bytes after last tensor")
 
     try:
-        params = ModelParameters.from_tensor_map(
-            cfg, tensors, embedding_trainable=meta.get("embedding_trainable", True),
-            vocab_size=vocab.size)
-    except Exception as exc:
+        cfg = TrainConfig.from_dict(_field(meta, "config", dict))
+        tokens = _field(meta, "vocabulary", list)
+        if not all(isinstance(token, str) for token in tokens):
+            raise FormatError("metadata field 'vocabulary' holds a non-string token")
+        vocab = Vocabulary(tokens)
+        bounds = _field(meta, "score_range", dict)
+        score_range = ScoreRange(*(_field(bounds, key, int)
+                                   for key in ("prompt_id", "min", "max")))
+        params = ModelParameters(cfg, tensors,
+                                 meta.get("embedding_trainable", True), vocab)
+    except DelaesError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return ModelArtifact(params=params, vocab=vocab, score_range=score_range,
                          created=meta.get("created"))

@@ -24,9 +24,10 @@ from .corpus import (
     denormalize_score,
     load_dataset,
     load_unscored,
+    read_tsv,
 )
 from .embedding import load_embeddings
-from .errors import DelaesError, UsageError
+from .errors import DelaesError, FormatError, UsageError
 from .harness import report_to_csv, report_to_json, run_cv
 from .metrics import qwk, read_predictions
 from .training import history_to_csv, predict_normalized, train
@@ -110,6 +111,16 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _by_id(pairs, path) -> dict[int, int]:
+    """(essay_id, score) pairs as a dict, rejecting a repeated essay id."""
+    scores: dict[int, int] = {}
+    for essay_id, score in pairs:
+        if essay_id in scores:
+            raise FormatError(f"{path}: duplicate essay id {essay_id}")
+        scores[essay_id] = score
+    return scores
+
+
 def _read_gold(path) -> dict[int, int]:
     """Gold scores from either a two-column CSV or an ASAP TSV file.
 
@@ -119,35 +130,23 @@ def _read_gold(path) -> dict[int, int]:
     with open(path, "rb") as fh:
         first = fh.readline()
     if b"\t" not in first:
-        return dict(read_predictions(path))
-    from .corpus import _decode, _parse_header, _parse_int, _split_row
-    content = _decode(path, "latin1")
-    lines = [line for line in content.splitlines() if line.strip()]
-    positions = _parse_header(path, lines, ("essay_id", "domain1_score"))
-    n_columns = len(lines[0].split("\t"))
-    gold = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = _split_row(path, lineno, line, n_columns)
-        essay_id = _parse_int(path, lineno, "essay_id",
-                              fields[positions["essay_id"]])
-        gold[essay_id] = _parse_int(path, lineno, "domain1_score",
-                                    fields[positions["domain1_score"]])
-    return gold
+        return _by_id(read_predictions(path), path)
+    rows = read_tsv(path, ("essay_id", "domain1_score")) or ()
+    return _by_id(((row.integer("essay_id"), row.integer("domain1_score"))
+                   for row in rows), path)
 
 
 def cmd_eval(args) -> int:
-    predictions = read_predictions(args.pred)
+    predictions = _by_id(read_predictions(args.pred), args.pred)
     gold = _read_gold(args.gold)
-    for essay_id, _ in predictions:
+    for essay_id in predictions:
         if essay_id not in gold:
             raise UsageError(f"essay id {essay_id} missing from gold file")
-    predicted_ids = {essay_id for essay_id, _ in predictions}
     for essay_id in gold:
-        if essay_id not in predicted_ids:
+        if essay_id not in predictions:
             raise UsageError(f"essay id {essay_id} missing from prediction file")
-    actual = [gold[essay_id] for essay_id, _ in predictions]
-    predicted = [score for _, score in predictions]
-    value = qwk(actual, predicted, args.range)
+    actual = [gold[essay_id] for essay_id in predictions]
+    value = qwk(actual, list(predictions.values()), args.range)
     print(f"{value:.4f}")
     return 0
 

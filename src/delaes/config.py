@@ -60,10 +60,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        """Inverse of :meth:`to_dict`; unknown keys and mistyped values raise
+        :class:`FormatError`."""
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise FormatError(f"unknown config key(s) {unknown}")
         kwargs = dict(data)
-        if "windows" in kwargs:
-            kwargs["windows"] = tuple(int(k) for k in kwargs["windows"])
-        return cls(**kwargs)
+        try:
+            if "windows" in kwargs:
+                kwargs["windows"] = tuple(int(k) for k in kwargs["windows"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed config: {exc}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:

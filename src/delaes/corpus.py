@@ -225,32 +225,68 @@ def _decode(path, encoding: str) -> str:
         raise EncodingError(f"{path}: cannot decode input as {codec}: {exc}") from None
 
 
-def _parse_header(path, lines: list[str], required: Sequence[str]) -> dict[str, int]:
+class TsvRow:
+    """One data row of a tab-separated file, read by header column name."""
+
+    __slots__ = ("_path", "_lineno", "_fields", "_positions")
+
+    def __init__(self, path, lineno: int, fields: list[str],
+                 positions: dict[str, int]):
+        self._path = path
+        self._lineno = lineno
+        self._fields = fields
+        self._positions = positions
+
+    def text(self, column: str) -> str:
+        return self._fields[self._positions[column]]
+
+    def integer(self, column: str) -> int:
+        value = self.text(column)
+        try:
+            return int(value)
+        except ValueError:
+            raise FormatError(
+                f"{self._path}:{self._lineno}: cannot parse {column}={value!r} "
+                f"as an integer"
+            ) from None
+
+
+def read_tsv(path, required: Sequence[str], encoding: str = "latin1"
+             ) -> list[TsvRow] | None:
+    """Read a headed tab-separated file into rows addressed by column name.
+
+    Blank lines are skipped.  Returns None for a file with no content at
+    all, so each caller decides whether that is zero rows or an error.
+    Raises :class:`FormatError` when a ``required`` column is missing from
+    the header or a row's field count differs from the header's.
+    """
+    text = _decode(path, encoding)
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        return None
     header = lines[0].split("\t")
     positions = {name: i for i, name in enumerate(header)}
     for name in required:
         if name not in positions:
             raise FormatError(f"{path}: missing required column {name!r}")
-    return positions
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise FormatError(
+                f"{path}:{lineno}: expected {len(header)} tab-separated fields, "
+                f"found {len(fields)} (embedded tabs inside the essay field are "
+                f"not supported)"
+            )
+        rows.append(TsvRow(path, lineno, fields, positions))
+    return rows
 
 
-def _split_row(path, lineno: int, line: str, n_columns: int) -> list[str]:
-    fields = line.split("\t")
-    if len(fields) != n_columns:
-        raise FormatError(
-            f"{path}:{lineno}: expected {n_columns} tab-separated fields, found "
-            f"{len(fields)} (embedded tabs inside the essay field are not supported)"
-        )
-    return fields
-
-
-def _parse_int(path, lineno: int, column: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise FormatError(
-            f"{path}:{lineno}: cannot parse {column}={value!r} as an integer"
-        ) from None
+def _essay_tokens(row: TsvRow, essay_id: int) -> tuple[str, ...]:
+    tokens = tuple(tokenize(row.text("essay")))
+    if not tokens:
+        raise FormatError(f"essay {essay_id}: no tokens after tokenization")
+    return tokens
 
 
 def load_dataset(path, prompt_id: int, score_range: ScoreRange,
@@ -260,34 +296,24 @@ def load_dataset(path, prompt_id: int, score_range: ScoreRange,
     Rows whose ``essay_set`` differs from ``prompt_id`` are skipped.  A file
     with a header but zero matching rows yields an empty :class:`EssaySet`.
     """
-    text = _decode(path, encoding)
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    rows = read_tsv(path, _REQUIRED_COLUMNS, encoding)
+    if rows is None:
         raise FormatError(f"{path}: empty file, header row required")
-    positions = _parse_header(path, lines, _REQUIRED_COLUMNS)
-    n_columns = len(lines[0].split("\t"))
-
     essays = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = _split_row(path, lineno, line, n_columns)
-        essay_set = _parse_int(path, lineno, "essay_set", fields[positions["essay_set"]])
-        if essay_set != prompt_id:
+    for row in rows:
+        if row.integer("essay_set") != prompt_id:
             continue
-        essay_id = _parse_int(path, lineno, "essay_id", fields[positions["essay_id"]])
-        raw_score = _parse_int(path, lineno, "domain1_score",
-                               fields[positions["domain1_score"]])
+        essay_id = row.integer("essay_id")
+        raw_score = row.integer("domain1_score")
         if not score_range.min_score <= raw_score <= score_range.max_score:
             raise ScoreRangeError(
                 f"essay {essay_id}: score {raw_score} outside range "
                 f"{score_range.min_score}-{score_range.max_score}"
             )
-        tokens = tuple(tokenize(fields[positions["essay"]]))
-        if not tokens:
-            raise FormatError(f"essay {essay_id}: no tokens after tokenization")
         essays.append(Essay(
             essay_id=essay_id,
             prompt_id=prompt_id,
-            tokens=tokens,
+            tokens=_essay_tokens(row, essay_id),
             raw_score=raw_score,
             normalized_score=normalize_score(raw_score, score_range),
         ))
@@ -300,22 +326,10 @@ def load_unscored(path, prompt_id: int, encoding: str = "latin1"
 
     A file with no content at all is treated as zero rows.
     """
-    text = _decode(path, encoding)
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return []
-    positions = _parse_header(path, lines, ("essay_id", "essay_set", "essay"))
-    n_columns = len(lines[0].split("\t"))
-
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = _split_row(path, lineno, line, n_columns)
-        essay_set = _parse_int(path, lineno, "essay_set", fields[positions["essay_set"]])
-        if essay_set != prompt_id:
+    pairs = []
+    for row in read_tsv(path, ("essay_id", "essay_set", "essay"), encoding) or ():
+        if row.integer("essay_set") != prompt_id:
             continue
-        essay_id = _parse_int(path, lineno, "essay_id", fields[positions["essay_id"]])
-        tokens = tuple(tokenize(fields[positions["essay"]]))
-        if not tokens:
-            raise FormatError(f"essay {essay_id}: no tokens after tokenization")
-        rows.append((essay_id, tokens))
-    return rows
+        essay_id = row.integer("essay_id")
+        pairs.append((essay_id, _essay_tokens(row, essay_id)))
+    return pairs

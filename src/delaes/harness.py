@@ -64,18 +64,14 @@ def plan_folds(essay_set: EssaySet, k: int, seed: int) -> FoldPlan:
     return FoldPlan(assignments=assignments, k=k, seed=seed)
 
 
-def round_layout(k: int, full_rotation: bool = False) -> list[tuple[int, ...]]:
+def round_layout(k: int) -> list[tuple[int, ...]]:
     """Test-fold blocks per round.
 
     The block width is one fifth of the folds (at least one), and blocks
     advance by their own width so every fold is tested exactly once (the
-    final block is short when the width does not divide k).  With
-    ``full_rotation`` the block start advances by one fold instead, giving k
-    rounds.
+    final block is short when the width does not divide k).
     """
     width = max(1, k // 5)
-    if full_rotation:
-        return [tuple((s + j) % k for j in range(width)) for s in range(k)]
     return [tuple(range(s, min(s + width, k))) for s in range(0, k, width)]
 
 
@@ -104,18 +100,13 @@ def _round_roles(plan: FoldPlan, test_folds: tuple[int, ...]
 
 
 def run_cv(essay_set: EssaySet, embeddings: EmbeddingTable, cfg: TrainConfig,
-           k: int, seed: int, vocab_builder=None, full_rotation: bool = False,
-           rounds_limit: int | None = None) -> CvReport:
+           k: int, seed: int, rounds_limit: int | None = None) -> CvReport:
     """Cross-validate: per round, build vocabulary from the training folds,
     train with validation-based selection, and score the held-out test folds
     on denormalized predictions."""
     plan = plan_folds(essay_set, k, seed)
     score_range = essay_set.score_range
-    if vocab_builder is None:
-        vocab_builder = lambda train_set: build_vocabulary(
-            [train_set], min_count=cfg.min_count)
-
-    rounds = round_layout(k, full_rotation)
+    rounds = round_layout(k)
     if rounds_limit is not None:
         rounds = rounds[:rounds_limit]
 
@@ -129,7 +120,7 @@ def run_cv(essay_set: EssaySet, embeddings: EmbeddingTable, cfg: TrainConfig,
         val_set = essay_set.subset(val_ids)
         test_set = essay_set.subset(test_ids)
 
-        vocab = vocab_builder(train_set)
+        vocab = build_vocabulary([train_set], min_count=cfg.min_count)
         params, history = train(train_set, val_set, vocab, embeddings, cfg)
 
         predictions = predict_normalized(params, vocab,

@@ -4,20 +4,29 @@ Stack, per essay: embedding lookup -> per-channel {1D convolution over word
 windows -> ReLU -> temporal max-pooling -> bidirectional GRU} -> channel
 summaries concatenated -> dropout (training only) -> sigmoid head.
 
-All operations are pure given parameters and an explicit generator, so a
-frozen :class:`ModelParameters` can serve any number of concurrent inference
-calls.  Positions whose convolution window touches a padding token are masked
-out of pooling, and masked GRU steps carry the previous hidden state, which
-makes inference outputs invariant to trailing padding.
+The parameters are one ordered ``name -> ndarray`` map
+(:class:`ModelParameters`), the same form the artifact, the gradients and
+RMSProp use.  The batched internals read their arrays from that map by name;
+the single-essay functions (:func:`conv1d_forward`, :func:`maxpool`,
+:func:`gru_step`, :func:`bigru_forward`) are thin views over them for the
+oracle tests, taking plain arrays or a gate-name mapping for one GRU
+direction.
+
+All operations are pure given parameters and an explicit generator, so an
+unchanging :class:`ModelParameters` can serve any number of concurrent
+inference calls.  Positions whose convolution window touches a padding token
+are masked out of pooling, and masked GRU steps carry the previous hidden
+state, which makes inference outputs invariant to trailing padding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import PAD_INDEX
+from .corpus import PAD_INDEX, Vocabulary
 from .embedding import EmbeddingMatrix
 from .errors import DomainError, UsageError
 
@@ -36,130 +45,42 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ConvChannel:
-    """One convolution channel: ``filters`` filters over windows of ``window`` words.
+class ModelParameters:
+    """Every trainable tensor, by canonical name, plus the config it belongs to.
 
-    ``weights`` has shape (filters, window * dim); the slice
-    ``weights[:, j*dim:(j+1)*dim]`` acts on the j-th column of the window.
+    ``tensors`` holds the names and order of :func:`expected_shapes`: the
+    embedding, then per window ``k`` the ``conv{k}`` weights and bias and the
+    ``gru{k}.fw``/``gru{k}.bw`` gate matrices, then the dense head.  Names and
+    shapes are validated on construction; pass ``vocab`` to also require one
+    embedding row per vocabulary entry.
     """
 
-    window: int
-    weights: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class GruDirection:
-    """Gate matrices for one scan direction (no biases)."""
-
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray
-    u_r: np.ndarray
-    u_h: np.ndarray
-
-    @property
-    def hidden(self) -> int:
-        return self.u_z.shape[0]
-
-
-@dataclass
-class GruParameters:
-    fw: GruDirection
-    bw: GruDirection
-
-    @property
-    def hidden(self) -> int:
-        return self.fw.hidden
-
-
-@dataclass
-class DenseHead:
-    weights: np.ndarray  # (total summary width,)
-    bias: np.ndarray     # (1,)
-
-
-@dataclass
-class ModelParameters:
-    """Every trainable tensor plus the hyperparameter record they belong to."""
-
-    embedding: np.ndarray
-    embedding_trainable: bool
-    conv: tuple[ConvChannel, ...]
-    gru: tuple[GruParameters, ...]
-    dense: DenseHead
     config: TrainConfig
+    tensors: dict[str, np.ndarray]
+    embedding_trainable: bool = True
+    vocab: InitVar[Vocabulary | None] = None
 
-    @property
-    def dtype(self):
-        return self.embedding.dtype
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
-
-    def named_tensors(self):
-        """Yield (name, array) pairs in a fixed canonical order."""
-        yield "embedding", self.embedding
-        for channel, gru in zip(self.conv, self.gru):
-            k = channel.window
-            yield f"conv{k}.weights", channel.weights
-            yield f"conv{k}.bias", channel.bias
-            for direction, params in (("fw", gru.fw), ("bw", gru.bw)):
-                for gate in _GATE_NAMES:
-                    yield f"gru{k}.{direction}.{gate}", getattr(params, gate)
-        yield "dense.weights", self.dense.weights
-        yield "dense.bias", self.dense.bias
-
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            embedding=self.embedding.copy(),
-            embedding_trainable=self.embedding_trainable,
-            conv=tuple(ConvChannel(c.window, c.weights.copy(), c.bias.copy())
-                       for c in self.conv),
-            gru=tuple(GruParameters(
-                fw=GruDirection(**{g: getattr(p.fw, g).copy() for g in _GATE_NAMES}),
-                bw=GruDirection(**{g: getattr(p.bw, g).copy() for g in _GATE_NAMES}),
-            ) for p in self.gru),
-            dense=DenseHead(self.dense.weights.copy(), self.dense.bias.copy()),
-            config=self.config,
-        )
-
-    @classmethod
-    def from_tensor_map(cls, cfg: TrainConfig, tensors: dict[str, np.ndarray],
-                        embedding_trainable: bool = True,
-                        vocab_size: int | None = None) -> "ModelParameters":
-        """Assemble parameters from named arrays, validating names and shapes."""
-        if vocab_size is None:
-            vocab_size = tensors["embedding"].shape[0] if "embedding" in tensors else 0
-        expected = expected_shapes(cfg, vocab_size)
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
+    def __post_init__(self, vocab: Vocabulary | None):
+        rows = vocab.size if vocab is not None else len(self.tensors.get("embedding", ()))
+        expected = expected_shapes(self.config, rows)
+        missing = sorted(set(expected) - set(self.tensors))
+        extra = sorted(set(self.tensors) - set(expected))
         if missing or extra:
             raise UsageError(f"tensor names mismatch: missing={missing}, extra={extra}")
         for name, shape in expected.items():
-            if tuple(tensors[name].shape) != shape:
+            if tuple(self.tensors[name].shape) != shape:
                 raise UsageError(
-                    f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
+                    f"tensor {name!r} has shape {self.tensors[name].shape}, expected {shape}"
                 )
-        conv = []
-        gru = []
-        for k in cfg.windows:
-            conv.append(ConvChannel(k, tensors[f"conv{k}.weights"],
-                                    tensors[f"conv{k}.bias"]))
-            gru.append(GruParameters(
-                fw=GruDirection(**{g: tensors[f"gru{k}.fw.{g}"] for g in _GATE_NAMES}),
-                bw=GruDirection(**{g: tensors[f"gru{k}.bw.{g}"] for g in _GATE_NAMES}),
-            ))
-        return cls(
-            embedding=tensors["embedding"],
-            embedding_trainable=embedding_trainable,
-            conv=tuple(conv),
-            gru=tuple(gru),
-            dense=DenseHead(tensors["dense.weights"], tensors["dense.bias"]),
-            config=cfg,
-        )
+        self.tensors = {name: self.tensors[name] for name in expected}
+
+    @property
+    def dtype(self):
+        return self.tensors["embedding"].dtype
+
+    @property
+    def vocab_size(self) -> int:
+        return self.tensors["embedding"].shape[0]
 
 
 def summary_width(cfg: TrainConfig) -> int:
@@ -191,63 +112,68 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
 
 def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig,
                     dtype=None) -> ModelParameters:
-    """Seeded Glorot-uniform initialization of every layer; biases start at zero."""
+    """Seeded Glorot-uniform initialization of every layer; biases start at zero.
+
+    Weights are drawn in canonical tensor order, so the draws of each tensor
+    depend only on the config and the seed.
+    """
     dtype = dtype or embedding.weights.dtype
-    d = embedding.weights.shape[1]
+    rows, d = embedding.weights.shape
     if d != cfg.embedding_dim:
         raise UsageError(
             f"embedding matrix has dimension {d}, config says {cfg.embedding_dim}"
         )
     rng = np.random.default_rng(cfg.seed)
-    f, h = cfg.filters, cfg.hidden_units
-    conv = []
-    gru = []
-    for k in cfg.windows:
-        conv.append(ConvChannel(
-            window=k,
-            weights=_glorot(rng, (f, k * d), k * d, f, dtype),
-            bias=np.zeros(f, dtype=dtype),
-        ))
-        directions = []
-        for _ in range(2):
-            gates = {}
-            for gate in ("w_z", "w_r", "w_h"):
-                gates[gate] = _glorot(rng, (h, f), f, h, dtype)
-            for gate in ("u_z", "u_r", "u_h"):
-                gates[gate] = _glorot(rng, (h, h), h, h, dtype)
-            directions.append(GruDirection(**gates))
-        gru.append(GruParameters(fw=directions[0], bw=directions[1]))
-    width = summary_width(cfg)
-    dense = DenseHead(
-        weights=_glorot(rng, (width,), width, 1, dtype),
-        bias=np.zeros(1, dtype=dtype),
-    )
-    return ModelParameters(
-        embedding=embedding.weights.astype(dtype, copy=True),
-        embedding_trainable=embedding.trainable,
-        conv=tuple(conv),
-        gru=tuple(gru),
-        dense=dense,
-        config=cfg,
-    )
+    tensors = {}
+    for name, shape in expected_shapes(cfg, rows).items():
+        if name == "embedding":
+            tensors[name] = embedding.weights.astype(dtype, copy=True)
+        elif name.endswith(".bias"):
+            tensors[name] = np.zeros(shape, dtype=dtype)
+        else:
+            # A (rows, cols) weight maps cols inputs to rows outputs; the dense
+            # head maps its whole width to one logit.
+            fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
+            tensors[name] = _glorot(rng, shape, fan_in, fan_out, dtype)
+    return ModelParameters(cfg, tensors, embedding.trainable)
+
+
+def pad_rows(rows: Sequence[Sequence[int]], min_length: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Stack encoded essays into a PAD-filled (B, L) index matrix and its mask.
+
+    ``L`` is the longest row or ``min_length``, whichever is larger; the mask
+    is true exactly at non-PAD indices.  :meth:`Vocabulary.encode` never
+    yields PAD, so for encoded essays the mask marks every real token.
+    """
+    length = max(max(len(row) for row in rows), min_length)
+    indices = np.full((len(rows), length), PAD_INDEX, dtype=np.int64)
+    for i, row in enumerate(rows):
+        indices[i, :len(row)] = row
+    return indices, indices != PAD_INDEX
 
 
 # ---------------------------------------------------------------------------
 # Single-essay layer surfaces
 # ---------------------------------------------------------------------------
 
-def conv1d_forward(matrix: np.ndarray, channel: ConvChannel) -> np.ndarray:
+def conv1d_forward(matrix: np.ndarray, weights: np.ndarray,
+                   bias: np.ndarray) -> np.ndarray:
     """Valid 1D convolution plus ReLU over a (dim, n_tokens) essay matrix.
 
+    ``weights`` has shape (filters, window * dim); the slice
+    ``weights[:, j*dim:(j+1)*dim]`` acts on the j-th column of the window.
     Output column i is ReLU(W @ vec(columns i..i+k-1) + b), giving a
     (filters, n_tokens - k + 1) feature map of non-negative activations.
     """
     d, m = matrix.shape
-    k = channel.window
-    assert m >= k, "convolution input narrower than window: upstream padding bug"
+    if weights.shape[1] % d:
+        raise UsageError(f"weights width {weights.shape[1]} is not a multiple "
+                         f"of the embedding dimension {d}")
+    assert m >= weights.shape[1] // d, \
+        "convolution input narrower than window: upstream padding bug"
     emb = np.ascontiguousarray(matrix.T)[None, :, :]
-    pre, _ = _conv_pre_batch(emb, channel,
-                             np.ones((1, m), dtype=bool))
+    pre, _ = _conv_pre_batch(emb, weights, bias, np.ones((1, m), dtype=bool))
     return np.maximum(pre[0], 0).T
 
 
@@ -265,23 +191,28 @@ def maxpool(feature_map: np.ndarray, pool: int, stride: int) -> np.ndarray:
     return pooled[0].T
 
 
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, p: GruDirection) -> np.ndarray:
+def gru_step(x_t: np.ndarray, h_prev: np.ndarray,
+             p: Mapping[str, np.ndarray]) -> np.ndarray:
     """One recurrence step: update gate z, reset gate r, candidate state.
+
+    ``p`` maps the gate names ``w_z``, ``w_r``, ``w_h`` (hidden, inputs) and
+    ``u_z``, ``u_r``, ``u_h`` (hidden, hidden) to one direction's matrices.
 
     z = sigmoid(w_z x + u_z h);  r = sigmoid(w_r x + u_r h)
     c = tanh(w_h x + u_h (r * h));  h' = (1 - z) * h + z * c
     """
-    z = sigmoid(p.w_z @ x_t + p.u_z @ h_prev)
-    r = sigmoid(p.w_r @ x_t + p.u_r @ h_prev)
-    c = np.tanh(p.w_h @ x_t + p.u_h @ (r * h_prev))
+    z = sigmoid(p["w_z"] @ x_t + p["u_z"] @ h_prev)
+    r = sigmoid(p["w_r"] @ x_t + p["u_r"] @ h_prev)
+    c = np.tanh(p["w_h"] @ x_t + p["u_h"] @ (r * h_prev))
     return (1.0 - z) * h_prev + z * c
 
 
-def bigru_forward(seq: np.ndarray, p: GruParameters,
-                  mask: np.ndarray | None = None
+def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
+                  bw: Mapping[str, np.ndarray], mask: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Run both scan directions over a (steps, features) sequence.
 
+    ``fw`` and ``bw`` are gate-name mappings as for :func:`gru_step`.
     Returns per-step outputs (steps, 2H) as [forward state, backward state]
     and the summary vector [forward state at the last real step, backward
     state at the first real step].  Masked steps carry the previous hidden
@@ -296,28 +227,12 @@ def bigru_forward(seq: np.ndarray, p: GruParameters,
         raise UsageError("mask length must equal sequence length")
     x = seq[:, None, :]          # time-major batch of one
     valid = mask[:, None]
-    fw = _gru_scan(x, valid, p.fw)
-    bw = _gru_scan(x[::-1], valid[::-1], p.bw)
-    outputs = np.concatenate([fw["h"][1:, 0], bw["h"][1:, 0][::-1]], axis=1)
-    summary = np.concatenate([fw["h"][-1, 0], bw["h"][-1, 0]])
+    fw_cache = _gru_scan(x, valid, fw)
+    bw_cache = _gru_scan(x[::-1], valid[::-1], bw)
+    outputs = np.concatenate([fw_cache["h"][1:, 0], bw_cache["h"][1:, 0][::-1]],
+                             axis=1)
+    summary = np.concatenate([fw_cache["h"][-1, 0], bw_cache["h"][-1, 0]])
     return outputs, summary
-
-
-def dropout(v: np.ndarray, p: float, rng: np.random.Generator | None,
-            training: bool) -> np.ndarray:
-    """Inverted dropout: zero entries with probability p, scale survivors by 1/(1-p).
-
-    Identity at inference time or when p == 0.
-    """
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"dropout rate {p} outside [0, 1)")
-    v = np.asarray(v)
-    if not training or p == 0.0:
-        return v
-    if rng is None:
-        raise UsageError("training-mode dropout needs a seeded generator")
-    keep = rng.random(v.shape) >= p
-    return (v * keep) / (1.0 - p)
 
 
 def forward(essay_indices, params: ModelParameters,
@@ -335,12 +250,7 @@ def forward(essay_indices, params: ModelParameters,
             f"token index {int(seq.min()) if seq.min() < 0 else int(seq.max())} "
             f"outside vocabulary of size {params.vocab_size}"
         )
-    k_max = max(channel.window for channel in params.conv)
-    length = max(seq.size, k_max)
-    indices = np.full((1, length), PAD_INDEX, dtype=np.int64)
-    indices[0, :seq.size] = seq
-    mask = np.zeros((1, length), dtype=bool)
-    mask[0, :seq.size] = seq != PAD_INDEX
+    indices, mask = pad_rows([seq], max(params.config.windows))
     drop_mask = None
     if dropout_rng is not None and params.config.dropout > 0:
         drop_mask = make_drop_mask(dropout_rng, (1, summary_width(params.config)),
@@ -351,7 +261,10 @@ def forward(essay_indices, params: ModelParameters,
 
 def make_drop_mask(rng: np.random.Generator, shape: tuple[int, ...],
                    p: float, dtype) -> np.ndarray:
-    """Fixed dropout realization: entries are 0 or 1/(1-p)."""
+    """Fixed inverted-dropout realization: each entry is 0 with probability
+    p, else 1/(1-p)."""
+    if not 0.0 <= p < 1.0:
+        raise DomainError(f"dropout rate {p} outside [0, 1)")
     dt = np.dtype(dtype)
     keep = rng.random(shape) >= p
     return keep.astype(dt) / dt.type(1.0 - p)
@@ -361,20 +274,21 @@ def make_drop_mask(rng: np.random.Generator, shape: tuple[int, ...],
 # Batched internals (shared by inference and the training-time backward pass)
 # ---------------------------------------------------------------------------
 
-def _conv_pre_batch(emb: np.ndarray, channel: ConvChannel, mask: np.ndarray):
+def _conv_pre_batch(emb: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                    mask: np.ndarray):
     """Pre-activations (B, P, F) and validity of each window position.
 
     A position is valid only when every token in its window is real, so
     padding never leaks into downstream layers.
     """
     b, length, d = emb.shape
-    k = channel.window
+    k = weights.shape[1] // d
     assert length >= k, "convolution input narrower than window: upstream padding bug"
     p = length - k + 1
-    pre = np.zeros((b, p, channel.weights.shape[0]), dtype=emb.dtype)
-    pre += channel.bias
+    pre = np.zeros((b, p, weights.shape[0]), dtype=emb.dtype)
+    pre += bias
     for j in range(k):
-        pre += emb[:, j:j + p, :] @ channel.weights[:, j * d:(j + 1) * d].T
+        pre += emb[:, j:j + p, :] @ weights[:, j * d:(j + 1) * d].T
     windows = np.lib.stride_tricks.sliding_window_view(mask, k, axis=1)
     return pre, windows.all(axis=2)
 
@@ -412,14 +326,19 @@ def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
     return pooled, source, pooled_valid
 
 
-def _gru_scan(x: np.ndarray, valid: np.ndarray, p: GruDirection) -> dict:
+def _gru_scan(x: np.ndarray, valid: np.ndarray, gates: Mapping[str, np.ndarray],
+              prefix: str = "") -> dict:
     """Scan one direction over time-major input (T, B, I).
 
-    Returns stacked states and gate values; ``h`` has T+1 entries with the
-    zero initial state first.  Invalid steps copy the previous state.
+    The direction's matrices are ``gates[prefix + name]`` for each gate name:
+    a gate-name mapping with the empty prefix, or the model's tensor map with
+    a prefix such as ``"gru2.fw."``.  Returns stacked states and gate values;
+    ``h`` has T+1 entries with the zero initial state first.  Invalid steps
+    copy the previous state.
     """
+    w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
     steps, batch, _ = x.shape
-    hidden = p.hidden
+    hidden = u_z.shape[0]
     h = np.zeros((batch, hidden), dtype=x.dtype)
     hs = np.empty((steps + 1, batch, hidden), dtype=x.dtype)
     zs = np.empty((steps, batch, hidden), dtype=x.dtype)
@@ -427,9 +346,9 @@ def _gru_scan(x: np.ndarray, valid: np.ndarray, p: GruDirection) -> dict:
     cs = np.empty_like(zs)
     hs[0] = h
     for t in range(steps):
-        z = sigmoid(x[t] @ p.w_z.T + h @ p.u_z.T)
-        r = sigmoid(x[t] @ p.w_r.T + h @ p.u_r.T)
-        c = np.tanh(x[t] @ p.w_h.T + (r * h) @ p.u_h.T)
+        z = sigmoid(x[t] @ w_z.T + h @ u_z.T)
+        r = sigmoid(x[t] @ w_r.T + h @ u_r.T)
+        c = np.tanh(x[t] @ w_h.T + (r * h) @ u_h.T)
         h_new = (1.0 - z) * h + z * c
         h = np.where(valid[t][:, None], h_new, h)
         zs[t], rs[t], cs[t] = z, r, c
@@ -437,20 +356,25 @@ def _gru_scan(x: np.ndarray, valid: np.ndarray, p: GruDirection) -> dict:
     return {"x": x, "valid": valid, "h": hs, "z": zs, "r": rs, "c": cs}
 
 
-def _gru_scan_backward(cache: dict, p: GruDirection, d_final: np.ndarray,
-                       d_steps: np.ndarray | None = None):
+def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
+                       d_final: np.ndarray, d_steps: np.ndarray | None = None,
+                       prefix: str = ""):
     """Reverse-mode pass through one scan direction.
 
-    ``d_final`` is the gradient on the state after the last step; ``d_steps``
-    optionally adds per-step output gradients.  Returns the input gradient
-    (T, B, I) and a gate-name -> gradient dict.
+    ``gates`` and ``prefix`` name the direction's matrices as in
+    :func:`_gru_scan`.  ``d_final`` is the gradient on the state after the
+    last step; ``d_steps`` optionally adds per-step output gradients.
+    Returns the input gradient (T, B, I) and the gate gradients under the
+    same ``prefix + name`` keys, in gate order.
     """
+    w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
     x, valid = cache["x"], cache["valid"]
     hs, zs, rs, cs = cache["h"], cache["z"], cache["r"], cache["c"]
     steps = x.shape[0]
     dh = d_final.astype(x.dtype).copy()
     dx = np.zeros_like(x)
-    grads = {name: np.zeros_like(getattr(p, name)) for name in _GATE_NAMES}
+    g_w_z, g_w_r, g_w_h = (np.zeros_like(w) for w in (w_z, w_r, w_h))
+    g_u_z, g_u_r, g_u_h = (np.zeros_like(u) for u in (u_z, u_r, u_h))
     for t in range(steps - 1, -1, -1):
         if d_steps is not None:
             dh = dh + d_steps[t]
@@ -461,32 +385,38 @@ def _gru_scan_backward(cache: dict, p: GruDirection, d_final: np.ndarray,
         dc = d_new * z
         dh_prev = d_new * (1.0 - z) + dh * (1.0 - m)
         da_c = dc * (1.0 - c * c)
-        grads["w_h"] += da_c.T @ x[t]
-        grads["u_h"] += da_c.T @ (r * h_prev)
-        dx[t] += da_c @ p.w_h
-        d_rh = da_c @ p.u_h
+        g_w_h += da_c.T @ x[t]
+        g_u_h += da_c.T @ (r * h_prev)
+        dx[t] += da_c @ w_h
+        d_rh = da_c @ u_h
         dh_prev += d_rh * r
         da_r = (d_rh * h_prev) * r * (1.0 - r)
-        grads["w_r"] += da_r.T @ x[t]
-        grads["u_r"] += da_r.T @ h_prev
-        dx[t] += da_r @ p.w_r
-        dh_prev += da_r @ p.u_r
+        g_w_r += da_r.T @ x[t]
+        g_u_r += da_r.T @ h_prev
+        dx[t] += da_r @ w_r
+        dh_prev += da_r @ u_r
         da_z = dz * z * (1.0 - z)
-        grads["w_z"] += da_z.T @ x[t]
-        grads["u_z"] += da_z.T @ h_prev
-        dx[t] += da_z @ p.w_z
-        dh_prev += da_z @ p.u_z
+        g_w_z += da_z.T @ x[t]
+        g_u_z += da_z.T @ h_prev
+        dx[t] += da_z @ w_z
+        dh_prev += da_z @ u_z
         dh = dh_prev
-    return dx, grads
+    grads = (g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h)
+    return dx, {prefix + name: g for name, g in zip(_GATE_NAMES, grads)}
 
 
 def _bigru_batch(pooled: np.ndarray, pooled_valid: np.ndarray,
-                 p: GruParameters, summary_mode: str):
-    """Both directions over batch-major pooled features (B, T, F)."""
+                 tensors: Mapping[str, np.ndarray], prefix: str,
+                 summary_mode: str):
+    """Both directions over batch-major pooled features (B, T, F).
+
+    The directions' matrices are ``tensors[prefix + "fw." + gate]`` and
+    ``tensors[prefix + "bw." + gate]``.
+    """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
     valid = np.ascontiguousarray(pooled_valid.T)
-    fw = _gru_scan(x, valid, p.fw)
-    bw = _gru_scan(x[::-1], valid[::-1], p.bw)
+    fw = _gru_scan(x, valid, tensors, prefix + "fw.")
+    bw = _gru_scan(x[::-1], valid[::-1], tensors, prefix + "bw.")
     if summary_mode == "last":
         summary = np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1)
     else:
@@ -498,28 +428,32 @@ def _bigru_batch(pooled: np.ndarray, pooled_valid: np.ndarray,
     return {"fw": fw, "bw": bw, "summary": summary}
 
 
-def _bigru_batch_backward(cache: dict, p: GruParameters, d_summary: np.ndarray,
-                          summary_mode: str) -> np.ndarray:
-    """Gradient of the channel summary w.r.t. pooled inputs; gate gradients
-    are written into ``cache['grads']``."""
-    hidden = p.hidden
+def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray],
+                          prefix: str, d_summary: np.ndarray, summary_mode: str
+                          ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Gradient of the channel summary w.r.t. pooled inputs, plus the gate
+    gradients of both directions keyed by their tensor names (forward
+    direction first)."""
+    hidden = d_summary.shape[1] // 2
     d_fw, d_bw = d_summary[:, :hidden], d_summary[:, hidden:]
     fw, bw = cache["fw"], cache["bw"]
     valid = fw["valid"]
     dtype = fw["x"].dtype
     if summary_mode == "last":
-        dx_fw, g_fw = _gru_scan_backward(fw, p.fw, d_fw)
-        dx_bw, g_bw = _gru_scan_backward(bw, p.bw, d_bw)
+        dx_fw, g_fw = _gru_scan_backward(fw, tensors, d_fw, prefix=prefix + "fw.")
+        dx_bw, g_bw = _gru_scan_backward(bw, tensors, d_bw, prefix=prefix + "bw.")
     else:
         counts = np.maximum(valid.sum(axis=0), 1).astype(dtype)[:, None]
         zeros = np.zeros_like(d_fw)
         steps_fw = valid.astype(dtype)[:, :, None] * (d_fw / counts)[None]
         steps_bw = valid[::-1].astype(dtype)[:, :, None] * (d_bw / counts)[None]
-        dx_fw, g_fw = _gru_scan_backward(fw, p.fw, zeros, d_steps=steps_fw)
-        dx_bw, g_bw = _gru_scan_backward(bw, p.bw, zeros, d_steps=steps_bw)
-    cache["grads"] = {"fw": g_fw, "bw": g_bw}
+        dx_fw, g_fw = _gru_scan_backward(fw, tensors, zeros, steps_fw,
+                                         prefix + "fw.")
+        dx_bw, g_bw = _gru_scan_backward(bw, tensors, zeros, steps_bw,
+                                         prefix + "bw.")
+    g_fw.update(g_bw)
     d_pooled = (dx_fw + dx_bw[::-1]).transpose(1, 0, 2)
-    return d_pooled
+    return d_pooled, g_fw
 
 
 def forward_batch(indices: np.ndarray, mask: np.ndarray,
@@ -530,15 +464,18 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     or None for inference.
     """
     cfg = params.config
-    emb = params.embedding[indices]
+    tensors = params.tensors
+    emb = tensors["embedding"][indices]
     channels = []
     summaries = []
-    for channel, gru in zip(params.conv, params.gru):
-        pre, conv_valid = _conv_pre_batch(emb, channel, mask)
+    for k in cfg.windows:
+        pre, conv_valid = _conv_pre_batch(emb, tensors[f"conv{k}.weights"],
+                                          tensors[f"conv{k}.bias"], mask)
         fm = np.maximum(pre, 0)
         pooled, source, pooled_valid = _maxpool_batch(
             fm, conv_valid, cfg.pool_size, cfg.pool_stride)
-        bicache = _bigru_batch(pooled, pooled_valid, gru, cfg.summary_mode)
+        bicache = _bigru_batch(pooled, pooled_valid, tensors, f"gru{k}.",
+                               cfg.summary_mode)
         summaries.append(bicache["summary"])
         channels.append({
             "pre": pre,
@@ -549,7 +486,7 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
         })
     concat = np.concatenate(summaries, axis=1)
     dropped = concat * drop_mask if drop_mask is not None else concat
-    logits = dropped @ params.dense.weights + params.dense.bias[0]
+    logits = dropped @ tensors["dense.weights"] + tensors["dense.bias"][0]
     yhat = sigmoid(logits)
     cache = {
         "indices": indices,

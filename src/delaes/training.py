@@ -8,7 +8,7 @@ the PAD embedding row never receives an update.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .network import (
     forward_batch,
     init_parameters,
     make_drop_mask,
+    pad_rows,
     summary_width,
 )
 
@@ -72,34 +73,12 @@ def make_batches(essay_set: EssaySet, vocab: Vocabulary, batch_size: int,
     batches = []
     for start in range(0, len(essays), batch_size):
         chunk = [essays[i] for i in order[start:start + batch_size]]
-        length = max(max(len(e.tokens) for e in chunk), min_length)
-        indices = np.full((len(chunk), length), PAD_INDEX, dtype=np.int64)
-        mask = np.zeros((len(chunk), length), dtype=bool)
-        targets = np.empty(len(chunk), dtype=np.float64)
-        ids = []
-        for row, essay in enumerate(chunk):
-            encoded = vocab.encode(essay.tokens)
-            indices[row, :len(encoded)] = encoded
-            mask[row, :len(encoded)] = True
-            targets[row] = essay.normalized_score
-            ids.append(essay.essay_id)
-        batches.append(Batch(indices, mask, targets, tuple(ids)))
+        indices, mask = pad_rows([vocab.encode(e.tokens) for e in chunk],
+                                 min_length)
+        targets = np.array([e.normalized_score for e in chunk], dtype=np.float64)
+        batches.append(Batch(indices, mask, targets,
+                             tuple(e.essay_id for e in chunk)))
     return batches
-
-
-def _eval_batches(token_sequences, vocab: Vocabulary, batch_size: int,
-                  min_length: int):
-    """Order-preserving batches for inference (no shuffle, no targets)."""
-    for start in range(0, len(token_sequences), batch_size):
-        chunk = token_sequences[start:start + batch_size]
-        length = max(max(len(tokens) for tokens in chunk), min_length)
-        indices = np.full((len(chunk), length), PAD_INDEX, dtype=np.int64)
-        mask = np.zeros((len(chunk), length), dtype=bool)
-        for row, tokens in enumerate(chunk):
-            encoded = vocab.encode(tokens)
-            indices[row, :len(encoded)] = encoded
-            mask[row, :len(encoded)] = True
-        yield indices, mask
 
 
 def mse_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -113,7 +92,7 @@ def mse_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
 
 
 def _first_nonfinite(params: ModelParameters, grads: Gradients | None) -> str:
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.tensors.items():
         if not np.isfinite(tensor).all():
             return name
     if grads:
@@ -142,6 +121,7 @@ def backward(batch: Batch, params: ModelParameters, dropout_seed: int
             + _first_nonfinite(params, None)
         )
 
+    tensors = params.tensors
     grads: Gradients = {}
     b = len(batch)
     # Head: d/dyhat of mean (y - yhat)^2, then through the sigmoid.
@@ -149,20 +129,18 @@ def backward(batch: Batch, params: ModelParameters, dropout_seed: int
     d_logit = d_yhat * yhat * (1.0 - yhat)
     grads["dense.weights"] = cache["dropped"].T @ d_logit
     grads["dense.bias"] = np.array([d_logit.sum()], dtype=dtype)
-    d_dropped = d_logit[:, None] * params.dense.weights[None, :]
+    d_dropped = d_logit[:, None] * tensors["dense.weights"][None, :]
     d_concat = d_dropped * drop_mask if drop_mask is not None else d_dropped
 
-    emb = params.embedding[batch.indices]
+    emb = tensors["embedding"][batch.indices]
     d_emb = np.zeros_like(emb)
     h2 = 2 * cfg.hidden_units
-    for ci, (channel, gru) in enumerate(zip(params.conv, params.gru)):
+    for ci, k in enumerate(cfg.windows):
         ch_cache = cache["channels"][ci]
         d_summary = d_concat[:, ci * h2:(ci + 1) * h2]
-        d_pooled = _bigru_batch_backward(ch_cache["bigru"], gru, d_summary,
-                                         cfg.summary_mode)
-        for direction in ("fw", "bw"):
-            for gate, grad in ch_cache["bigru"]["grads"][direction].items():
-                grads[f"gru{channel.window}.{direction}.{gate}"] = grad
+        d_pooled, gru_grads = _bigru_batch_backward(
+            ch_cache["bigru"], tensors, f"gru{k}.", d_summary, cfg.summary_mode)
+        grads.update(gru_grads)
 
         # Max-pooling routes each pooled gradient to its argmax source.
         pre = ch_cache["pre"]
@@ -178,19 +156,19 @@ def backward(batch: Batch, params: ModelParameters, dropout_seed: int
         d_pre = d_fm * (pre > 0)
         d_pre *= ch_cache["conv_valid"][:, :, None]
 
-        k = channel.window
+        weights = tensors[f"conv{k}.weights"]
         d = emb.shape[2]
         p = pre.shape[1]
-        g_w = np.zeros_like(channel.weights)
+        g_w = np.zeros_like(weights)
         d_pre_flat = d_pre.reshape(-1, d_pre.shape[2])
         for j in range(k):
             window = np.ascontiguousarray(emb[:, j:j + p, :]).reshape(-1, d)
             g_w[:, j * d:(j + 1) * d] = d_pre_flat.T @ window
-            d_emb[:, j:j + p, :] += d_pre @ channel.weights[:, j * d:(j + 1) * d]
+            d_emb[:, j:j + p, :] += d_pre @ weights[:, j * d:(j + 1) * d]
         grads[f"conv{k}.weights"] = g_w
         grads[f"conv{k}.bias"] = d_pre.sum(axis=(0, 1))
 
-    g_embedding = np.zeros_like(params.embedding)
+    g_embedding = np.zeros_like(tensors["embedding"])
     if params.embedding_trainable:
         flat = batch.indices.ravel()
         np.add.at(g_embedding, flat, d_emb.reshape(-1, emb.shape[2]))
@@ -210,7 +188,7 @@ class RmsPropState:
 
     @classmethod
     def for_params(cls, params: ModelParameters, cfg: TrainConfig) -> "RmsPropState":
-        acc = {name: np.zeros_like(tensor) for name, tensor in params.named_tensors()}
+        acc = {name: np.zeros_like(tensor) for name, tensor in params.tensors.items()}
         return cls(acc=acc, decay=cfg.rmsprop_decay, epsilon=cfg.rmsprop_epsilon,
                    learning_rate=cfg.learning_rate)
 
@@ -219,7 +197,7 @@ def rmsprop_step(params: ModelParameters, grads: Gradients,
                  state: RmsPropState) -> tuple[ModelParameters, RmsPropState]:
     """In-place update: acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(acc)+eps)."""
     rho = state.decay
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.tensors.items():
         g = grads[name]
         acc = state.acc[name]
         acc *= rho
@@ -250,9 +228,11 @@ def predict_normalized(params: ModelParameters, vocab: Vocabulary,
         return np.zeros(0, dtype=np.float64)
     cfg = params.config
     size = batch_size or cfg.batch_size
-    min_length = max(cfg.windows)
     outputs = []
-    for indices, mask in _eval_batches(token_sequences, vocab, size, min_length):
+    for start in range(0, len(token_sequences), size):
+        indices, mask = pad_rows(
+            [vocab.encode(tokens) for tokens in token_sequences[start:start + size]],
+            max(cfg.windows))
         yhat, _ = forward_batch(indices, mask, params)
         outputs.append(yhat.astype(np.float64))
     return np.concatenate(outputs)
@@ -322,7 +302,8 @@ def train(train_set: EssaySet, val_set: EssaySet, vocab: Vocabulary,
         logger.debug("epoch %d: train_mse=%.6g val_qwk=%.4f", epoch, train_mse, val_qwk)
         if val_qwk > best_qwk:
             best_qwk = val_qwk
-            best = params.copy()
+            best = replace(params, tensors={name: t.copy()
+                                            for name, t in params.tensors.items()})
     assert best is not None
     return best, history
 

@@ -36,12 +36,12 @@ def _kink_floors(batch: Batch, params, dropout_seed: int) -> tuple[dict, float]:
     _, cache = forward_batch(batch.indices, batch.mask, params, drop_mask)
     per_filter: dict[int, np.ndarray] = {}
     global_floor = np.inf
-    for channel, ch_cache in zip(params.conv, cache["channels"]):
+    for window, ch_cache in zip(cfg.windows, cache["channels"]):
         pre = np.abs(ch_cache["pre"])
         valid = ch_cache["conv_valid"][:, :, None]
         masked = np.where(valid, pre, np.inf)
         floors = masked.min(axis=(0, 1))
-        per_filter[channel.window] = floors
+        per_filter[window] = floors
         global_floor = min(global_floor, float(floors.min()))
     return per_filter, global_floor
 
@@ -76,7 +76,7 @@ def check_gradients(batch: Batch, params, dropout_seed: int, step: float = 1e-4,
     skipped = 0
     worst = 0.0
     worst_coord = None
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.tensors.items():
         flat = tensor.ravel()
         grad_flat = grads[name].ravel()
         for i in range(flat.size):

@@ -21,7 +21,7 @@ class TestRoundTrip:
         path, _, params, _ = saved
         loaded = load_model(path)
         for (name, original), (loaded_name, restored) in zip(
-                params.named_tensors(), loaded.params.named_tensors()):
+                params.tensors.items(), loaded.params.tensors.items()):
             assert name == loaded_name
             np.testing.assert_array_equal(original, restored, err_msg=name)
             assert restored.dtype == np.float32
@@ -66,6 +66,17 @@ class TestRejection:
         clipped = path.read_bytes()[:-10]
         path.write_bytes(clipped)
         with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_tensor_name_not_utf8(self, saved):
+        import struct
+
+        path, *_ = saved
+        raw = bytearray(path.read_bytes())
+        meta_len = struct.unpack_from("<I", raw, 8)[0]
+        raw[12 + meta_len + 8] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
             load_model(path)
 
     def test_shape_metadata_mismatch(self, saved):

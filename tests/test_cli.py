@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 
 from delaes import forward, load_model
@@ -96,8 +99,8 @@ class TestPredict:
                                              tmp_path):
         from delaes import save_model
         loaded = load_model(model_path)
-        loaded.params.dense.weights[:] = 0.0
-        loaded.params.dense.bias[:] = 0.0
+        loaded.params.tensors["dense.weights"][:] = 0.0
+        loaded.params.tensors["dense.bias"][:] = 0.0
         flat = tmp_path / "flat.bin"
         save_model(loaded.params, loaded.vocab, loaded.score_range, flat)
         out = tmp_path / "pred.csv"
@@ -122,6 +125,28 @@ class TestPredict:
                      "--data", str(data_files["data"]),
                      "--out", str(tmp_path / "p.csv")]) == 1
         assert "not a DELAES01 artifact" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta: meta.pop("config"),
+        lambda meta: meta.pop("score_range"),
+        lambda meta: meta["config"].update(unknown_knob=1),
+    ], ids=["no-config", "no-score-range", "unknown-config-key"])
+    def test_malformed_metadata_exits_1(self, model_path, data_files, tmp_path,
+                                        capsys, corrupt):
+        raw = model_path.read_bytes()
+        meta_len = struct.unpack_from("<I", raw, 8)[0]
+        meta = json.loads(raw[12:12 + meta_len])
+        corrupt(meta)
+        blob = json.dumps(meta).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                        + raw[12 + meta_len:])
+        assert main(["predict", "--model", str(bad),
+                     "--data", str(data_files["data"]),
+                     "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestEval:
@@ -163,6 +188,26 @@ class TestEval:
         assert main(["eval", "--pred", str(pred), "--gold", str(gold),
                      "--range", "2:4"]) == 1
         assert "9" in capsys.readouterr().err
+
+    def test_duplicate_prediction_id_exits_1(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        gold = tmp_path / "gold.csv"
+        pred.write_text("1,2\n1,3\n2,4\n")
+        gold.write_text("1,2\n2,4\n")
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold),
+                     "--range", "2:4"]) == 1
+        assert "duplicate essay id 1" in capsys.readouterr().err
+
+    def test_duplicate_gold_tsv_id_exits_1(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("essay_id\tessay_set\tessay\tdomain1_score\n"
+                        "1\t1\twords here\t3\n"
+                        "1\t1\tother words\t4\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("1,3\n")
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold),
+                     "--range", "2:4"]) == 1
+        assert "duplicate essay id 1" in capsys.readouterr().err
 
     def test_malformed_range_exits_2(self, tmp_path):
         pred = tmp_path / "p.csv"

@@ -71,7 +71,7 @@ class TestGruScanIsolation:
 
         step = 1e-6
         for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h"):
-            tensor = getattr(direction, name)
+            tensor = direction[name]
             flat = tensor.ravel()
             grad_flat = grads[name].ravel()
             for i in range(flat.size):
@@ -101,8 +101,8 @@ class TestGruScanIsolation:
 class TestBackwardContracts:
     def test_stationary_point_all_zero(self):
         _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
-        params.dense.weights[:] = 0.0
-        params.dense.bias[:] = 0.0
+        params.tensors["dense.weights"][:] = 0.0
+        params.tensors["dense.bias"][:] = 0.0
         batch = one_essay_batch(vocab, ESSAY, target=0.5)
         loss, grads = backward(batch, params, dropout_seed=1)
         assert loss == 0.0
@@ -126,14 +126,14 @@ class TestBackwardContracts:
         batch = one_essay_batch(vocab, ESSAY[:3], extra_pad=4)
         _, grads = backward(batch, params, dropout_seed=1)
         np.testing.assert_array_equal(grads["embedding"][0],
-                                      np.zeros(params.embedding.shape[1]))
+                                      np.zeros(params.tensors["embedding"].shape[1]))
 
     def test_frozen_embeddings_get_zero_gradient(self):
         _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
         params.embedding_trainable = False
         _, grads = backward(one_essay_batch(vocab, ESSAY), params, dropout_seed=1)
         np.testing.assert_array_equal(grads["embedding"],
-                                      np.zeros_like(params.embedding))
+                                      np.zeros_like(params.tensors["embedding"]))
 
     def test_gradients_finite(self):
         _, vocab, params = tiny_model(dtype=np.float64, dropout=0.4)
@@ -144,6 +144,6 @@ class TestBackwardContracts:
     def test_nonfinite_loss_surfaces_parameter_name(self):
         from delaes import NumericError
         _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
-        params.dense.weights[0] = np.nan
+        params.tensors["dense.weights"][0] = np.nan
         with pytest.raises(NumericError, match="dense.weights"):
             backward(one_essay_batch(vocab, ESSAY), params, dropout_seed=1)

@@ -3,14 +3,11 @@ import pytest
 
 from delaes import DomainError, TrainConfig, UsageError
 from delaes.network import (
-    ConvChannel,
-    GruDirection,
-    GruParameters,
     bigru_forward,
     conv1d_forward,
-    dropout,
     forward,
     gru_step,
+    make_drop_mask,
     maxpool,
     sigmoid,
     summary_width,
@@ -20,28 +17,31 @@ from oracles import conv_relu_oracle, gru_step_scalar, maxpool_oracle
 from synthdata import tiny_model
 
 
+GATES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h")
+
+
 def scalar_direction(w=1.0, u=0.0):
     arr = lambda v: np.array([[v]], dtype=np.float64)
-    return GruDirection(w_z=arr(w), w_r=arr(w), w_h=arr(w),
-                        u_z=arr(u), u_r=arr(u), u_h=arr(u))
+    return dict(w_z=arr(w), w_r=arr(w), w_h=arr(w),
+                u_z=arr(u), u_r=arr(u), u_h=arr(u))
 
 
 def random_direction(rng, hidden, inputs, scale=0.6):
     mk = lambda shape: rng.normal(0, scale, shape)
-    return GruDirection(w_z=mk((hidden, inputs)), w_r=mk((hidden, inputs)),
-                        w_h=mk((hidden, inputs)), u_z=mk((hidden, hidden)),
-                        u_r=mk((hidden, hidden)), u_h=mk((hidden, hidden)))
+    return dict(w_z=mk((hidden, inputs)), w_r=mk((hidden, inputs)),
+                w_h=mk((hidden, inputs)), u_z=mk((hidden, hidden)),
+                u_r=mk((hidden, hidden)), u_h=mk((hidden, hidden)))
 
 
 class TestConv:
     def test_zero_weights_zero_map(self):
-        channel = ConvChannel(2, np.zeros((3, 4)), np.zeros(3))
-        out = conv1d_forward(np.random.default_rng(0).normal(size=(2, 5)), channel)
+        out = conv1d_forward(np.random.default_rng(0).normal(size=(2, 5)),
+                             np.zeros((3, 4)), np.zeros(3))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_forced_sums(self):
-        channel = ConvChannel(2, np.array([[1.0, 1.0]]), np.zeros(1))
-        out = conv1d_forward(np.array([[1.0, 2.0, 3.0]]), channel)
+        out = conv1d_forward(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 1.0]]),
+                             np.zeros(1))
         np.testing.assert_array_equal(out, [[3.0, 5.0]])
 
     def test_matches_nested_loop_oracle(self):
@@ -50,26 +50,26 @@ class TestConv:
         weights = rng.normal(size=(f, k * d))
         bias = rng.normal(size=f)
         matrix = rng.normal(size=(d, m))
-        out = conv1d_forward(matrix, ConvChannel(k, weights, bias))
+        out = conv1d_forward(matrix, weights, bias)
         np.testing.assert_allclose(out, conv_relu_oracle(matrix, weights, bias, k),
                                    rtol=1e-12)
 
     def test_non_negative_for_random_inputs(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            channel = ConvChannel(3, rng.normal(size=(4, 9)), rng.normal(size=4))
-            out = conv1d_forward(rng.normal(size=(3, 8)), channel)
+            out = conv1d_forward(rng.normal(size=(3, 8)), rng.normal(size=(4, 9)),
+                                 rng.normal(size=4))
             assert (out >= 0).all()
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(11)
         d, m, k, shift = 3, 9, 2, 2
-        channel = ConvChannel(k, rng.normal(size=(4, k * d)), rng.normal(size=4))
+        weights, bias = rng.normal(size=(4, k * d)), rng.normal(size=4)
         matrix = rng.normal(size=(d, m))
         shifted = np.concatenate([rng.normal(size=(d, shift)),
                                   matrix[:, :m - shift]], axis=1)
-        out = conv1d_forward(matrix, channel)
-        out_shifted = conv1d_forward(shifted, channel)
+        out = conv1d_forward(matrix, weights, bias)
+        out_shifted = conv1d_forward(shifted, weights, bias)
         np.testing.assert_allclose(out_shifted[:, shift:],
                                    out[:, :m - k + 1 - shift], rtol=1e-12)
 
@@ -130,7 +130,8 @@ class TestGruStep:
         rng = np.random.default_rng(8)
         for _ in range(50):
             w_z, w_r, w_h, u_z, u_r, u_h, x, h_prev = rng.normal(0, 1.5, 8)
-            p = GruDirection(*[np.array([[v]]) for v in (w_z, w_r, w_h, u_z, u_r, u_h)])
+            p = {gate: np.array([[v]])
+                 for gate, v in zip(GATES, (w_z, w_r, w_h, u_z, u_r, u_h))}
             got = gru_step(np.array([x]), np.array([h_prev]), p)
             expected, _, _, _ = gru_step_scalar(x, h_prev, w_z, w_r, w_h, u_z, u_r, u_h)
             np.testing.assert_allclose(got, [expected], rtol=1e-10, atol=1e-12)
@@ -143,8 +144,8 @@ class TestGruStep:
         for _ in range(100):
             x = rng.normal(0, 1.5, 4)
             h = rng.uniform(-1, 1, 6)
-            z = sigmoid(p.w_z @ x + p.u_z @ h)
-            r = sigmoid(p.w_r @ x + p.u_r @ h)
+            z = sigmoid(p["w_z"] @ x + p["u_z"] @ h)
+            r = sigmoid(p["w_r"] @ x + p["u_r"] @ h)
             assert ((z > 0) & (z < 1)).all()
             assert ((r > 0) & (r < 1)).all()
 
@@ -160,27 +161,25 @@ class TestGruStep:
 
 class TestBigru:
     def test_zero_weights_zero_outputs(self):
-        zero = GruDirection(*[np.zeros((2, 3)) if i < 3 else np.zeros((2, 2))
-                              for i in range(6)])
-        p = GruParameters(fw=zero, bw=zero)
-        outputs, summary = bigru_forward(np.ones((4, 3)), p)
+        zero = {gate: np.zeros((2, 3)) if i < 3 else np.zeros((2, 2))
+                for i, gate in enumerate(GATES)}
+        outputs, summary = bigru_forward(np.ones((4, 3)), zero, zero)
         np.testing.assert_array_equal(outputs, np.zeros((4, 4)))
         np.testing.assert_array_equal(summary, np.zeros(4))
 
     def test_directional_symmetry(self):
         rng = np.random.default_rng(4)
         shared = random_direction(rng, 3, 2)
-        p = GruParameters(fw=shared, bw=shared)
         seq = rng.normal(size=(6, 2))
-        out_fwd, _ = bigru_forward(seq, p)
-        out_rev, _ = bigru_forward(seq[::-1].copy(), p)
+        out_fwd, _ = bigru_forward(seq, shared, shared)
+        out_rev, _ = bigru_forward(seq[::-1].copy(), shared, shared)
         # backward direction on s equals forward direction on reversed s
         np.testing.assert_allclose(out_fwd[:, 3:], out_rev[::-1, :3], rtol=1e-12)
 
     def test_scalar_two_step_case(self):
-        p = GruParameters(fw=scalar_direction(), bw=scalar_direction())
         seq = np.array([[0.5], [0.25]])
-        outputs, summary = bigru_forward(seq, p)
+        outputs, summary = bigru_forward(seq, scalar_direction(),
+                                         scalar_direction())
         h1, _, _, _ = gru_step_scalar(0.5, 0.0, 1, 1, 1, 0, 0, 0)
         h2, _, _, _ = gru_step_scalar(0.25, h1, 1, 1, 1, 0, 0, 0)
         b2, _, _, _ = gru_step_scalar(0.25, 0.0, 1, 1, 1, 0, 0, 0)
@@ -190,33 +189,28 @@ class TestBigru:
 
     def test_masked_steps_carry_state(self):
         rng = np.random.default_rng(6)
-        p = GruParameters(fw=random_direction(rng, 3, 2),
-                          bw=random_direction(rng, 3, 2))
+        fw, bw = random_direction(rng, 3, 2), random_direction(rng, 3, 2)
         seq = rng.normal(size=(5, 2))
         mask = np.array([True, True, True, False, False])
-        _, summary = bigru_forward(seq, p, mask)
-        _, summary_short = bigru_forward(seq[:3].copy(), p)
+        _, summary = bigru_forward(seq, fw, bw, mask)
+        _, summary_short = bigru_forward(seq[:3].copy(), fw, bw)
         np.testing.assert_allclose(summary, summary_short, rtol=1e-12)
 
     def test_mask_length_validated(self):
-        p = GruParameters(fw=scalar_direction(), bw=scalar_direction())
         with pytest.raises(UsageError):
-            bigru_forward(np.ones((3, 1)), p, np.array([True, False]))
+            bigru_forward(np.ones((3, 1)), scalar_direction(), scalar_direction(),
+                          np.array([True, False]))
 
 
 class TestDropout:
     def test_zero_rate_identity(self):
         v = np.arange(5.0)
-        np.testing.assert_array_equal(
-            dropout(v, 0.0, np.random.default_rng(0), training=True), v)
-
-    def test_inference_identity(self):
-        v = np.arange(5.0)
-        np.testing.assert_array_equal(dropout(v, 0.9, None, training=False), v)
+        mask = make_drop_mask(np.random.default_rng(0), v.shape, 0.0, v.dtype)
+        np.testing.assert_array_equal(v * mask, v)
 
     def test_zero_fraction_near_rate(self):
-        v = np.ones(100_000, dtype=np.float32)
-        out = dropout(v, 0.4, np.random.default_rng(123), training=True)
+        out = make_drop_mask(np.random.default_rng(123), (100_000,), 0.4,
+                             np.float32)
         zero_fraction = float((out == 0).mean())
         assert abs(zero_fraction - 0.4) < 0.01
         survivors = out[out != 0]
@@ -224,18 +218,14 @@ class TestDropout:
 
     def test_rate_domain(self):
         with pytest.raises(DomainError):
-            dropout(np.ones(3), 1.0, np.random.default_rng(0), training=True)
-
-    def test_training_mode_requires_generator(self):
-        with pytest.raises(UsageError):
-            dropout(np.ones(3), 0.5, None, training=True)
+            make_drop_mask(np.random.default_rng(0), (3,), 1.0, np.float64)
 
 
 class TestForward:
     def test_zero_head_gives_half(self):
         _, vocab, params = tiny_model(dropout=0.0)
-        params.dense.weights[:] = 0.0
-        params.dense.bias[:] = 0.0
+        params.tensors["dense.weights"][:] = 0.0
+        params.tensors["dense.bias"][:] = 0.0
         idx = vocab.encode(["alpha", "bravo", "charlie", "delta"])
         assert forward(idx, params) == 0.5
 

@@ -90,10 +90,10 @@ class TestRmsProp:
         _, _, params = tiny_model(dtype=np.float64)
         state = RmsPropState.for_params(params, params.config)
         state.acc["dense.bias"][:] = 0.5
-        before = params.dense.bias.copy()
-        grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
+        before = params.tensors["dense.bias"].copy()
+        grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
         rmsprop_step(params, grads, state)
-        np.testing.assert_array_equal(params.dense.bias, before)
+        np.testing.assert_array_equal(params.tensors["dense.bias"], before)
         np.testing.assert_allclose(state.acc["dense.bias"], 0.45)  # decayed by rho
 
     def test_scalar_hand_arithmetic(self):
@@ -102,12 +102,12 @@ class TestRmsProp:
         _, _, params = tiny_model(dtype=np.float64)
         params.config = cfg
         state = RmsPropState.for_params(params, cfg)
-        before = float(params.dense.bias[0])
-        grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
+        before = float(params.tensors["dense.bias"][0])
+        grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
         grads["dense.bias"] = np.array([1.0])
         rmsprop_step(params, grads, state)
         assert state.acc["dense.bias"][0] == pytest.approx(0.1, rel=1e-12)
-        delta = float(params.dense.bias[0]) - before
+        delta = float(params.tensors["dense.bias"][0]) - before
         # hand: -0.001 / (sqrt(0.1) + 1e-7)
         assert delta == pytest.approx(-3.1623e-3, abs=1e-7)
 
@@ -177,7 +177,7 @@ class TestTrainLoop:
     def test_pad_embedding_row_stays_zero_after_training(self):
         train_set, val_set, vocab, table, cfg = self._setup(epochs=6)
         params, _ = train(train_set, val_set, vocab, table, cfg)
-        np.testing.assert_array_equal(params.embedding[0],
+        np.testing.assert_array_equal(params.tensors["embedding"][0],
                                       np.zeros(cfg.embedding_dim))
 
     def test_best_epoch_selection_prefers_highest_val(self):
