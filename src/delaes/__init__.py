@@ -60,6 +60,7 @@ from .training import (
     EpochRecord,
     RmsPropState,
     backward,
+    denormalize_predictions,
     evaluate_qwk,
     history_to_csv,
     make_batches,

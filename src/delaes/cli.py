@@ -21,7 +21,6 @@ from .corpus import (
     ScoreRange,
     build_vocabulary,
     default_range,
-    denormalize_score,
     load_dataset,
     load_unscored,
     read_tsv,
@@ -30,7 +29,12 @@ from .embedding import load_embeddings
 from .errors import DelaesError, FormatError, UsageError
 from .harness import report_to_csv, report_to_json, run_cv
 from .metrics import qwk, read_predictions
-from .training import history_to_csv, predict_normalized, train
+from .training import (
+    denormalize_predictions,
+    history_to_csv,
+    predict_normalized,
+    train,
+)
 
 _RANGE_KEY = re.compile(r"range(\d+)$")
 
@@ -99,15 +103,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     artifact = load_model(args.model)
     rows = load_unscored(args.data, artifact.score_range.prompt_id)
-    lines = []
-    if rows:
-        predictions = predict_normalized(artifact.params, artifact.vocab,
-                                         [tokens for _, tokens in rows])
-        for (essay_id, _), y in zip(rows, predictions):
-            score = denormalize_score(float(y), artifact.score_range)
-            lines.append(f"{essay_id},{score}")
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""),
-                              encoding="utf-8")
+    essay_ids = [essay_id for essay_id, _ in rows]
+    predictions = predict_normalized(artifact.params, artifact.vocab,
+                                     [tokens for _, tokens in rows])
+    scores = denormalize_predictions(essay_ids, predictions, artifact.score_range)
+    lines = [f"{essay_id},{score}\n" for essay_id, score in zip(essay_ids, scores)]
+    Path(args.out).write_text("".join(lines), encoding="utf-8")
     return 0
 
 

@@ -324,12 +324,17 @@ def load_unscored(path, prompt_id: int, encoding: str = "latin1"
                   ) -> list[tuple[int, tuple[str, ...]]]:
     """Load (essay_id, tokens) pairs for scoring; gold scores are not needed.
 
-    A file with no content at all is treated as zero rows.
+    A file with no content at all is treated as zero rows.  An essay id
+    repeated within the prompt raises :class:`FormatError`.
     """
     pairs = []
+    seen = set()
     for row in read_tsv(path, ("essay_id", "essay_set", "essay"), encoding) or ():
         if row.integer("essay_set") != prompt_id:
             continue
         essay_id = row.integer("essay_id")
+        if essay_id in seen:
+            raise FormatError(f"{path}: duplicate essay id {essay_id}")
+        seen.add(essay_id)
         pairs.append((essay_id, _essay_tokens(row, essay_id)))
     return pairs

@@ -13,11 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import EssaySet, build_vocabulary, denormalize_score
+from .corpus import EssaySet, build_vocabulary
 from .embedding import EmbeddingTable
 from .errors import UsageError
 from .metrics import qwk
-from .training import EpochRecord, predict_normalized, train
+from .training import (
+    EpochRecord,
+    denormalize_predictions,
+    predict_normalized,
+    train,
+)
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,11 @@ def run_cv(essay_set: EssaySet, embeddings: EmbeddingTable, cfg: TrainConfig,
         vocab = build_vocabulary([train_set], min_count=cfg.min_count)
         params, history = train(train_set, val_set, vocab, embeddings, cfg)
 
-        predictions = predict_normalized(params, vocab,
-                                         [e.tokens for e in test_set.essays])
-        predicted = [denormalize_score(float(y), score_range) for y in predictions]
-        actual = [e.raw_score for e in test_set.essays]
+        essays = test_set.essays
+        predictions = predict_normalized(params, vocab, [e.tokens for e in essays])
+        predicted = denormalize_predictions([e.essay_id for e in essays],
+                                            predictions, score_range)
+        actual = [e.raw_score for e in essays]
         round_qwk = qwk(actual, predicted, score_range)
         pooled_actual.extend(actual)
         pooled_predicted.extend(predicted)

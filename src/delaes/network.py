@@ -32,6 +32,18 @@ from .errors import DomainError, UsageError
 
 _GATE_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h")
 
+# Backprop through time over hundreds of steps shrinks the carried state
+# gradient by a gate factor below one per step (the vanishing gradient), and
+# in float32 it crosses into the subnormal range, where every arithmetic
+# operation on x86 takes a slow microcode assist.  :func:`_gru_scan_backward`
+# therefore zeroes each entry of the carried gradient whose magnitude falls
+# below ``finfo.tiny / finfo.eps`` of its dtype (2**-103 for float32, about
+# 1e-292 for float64): the BPTT analogue of the flush-to-zero mode that
+# TF/Keras CPU kernels run with.  Such an entry lies at least 2**23 below the
+# smallest normal number, so it cannot move a float32 weight and vanishes
+# when RMSProp squares it.  The threshold is tiny/eps rather than tiny
+# because products of normal operands still land in the subnormal range.
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, dtype-preserving.
@@ -326,6 +338,32 @@ def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
     return pooled, source, pooled_valid
 
 
+#: Batch rows per scatter in :func:`_maxpool_batch_backward`.
+_SCATTER_ROWS = 16
+
+
+def _maxpool_batch_backward(d_pooled: np.ndarray, source: np.ndarray,
+                            pooled_valid: np.ndarray, width: int) -> np.ndarray:
+    """Route pooled gradients (B, T, F) to their argmax sources in a
+    (B, width, F) map; invalid windows contribute nothing.
+
+    One flattened scatter per block of batch rows, whose int64 index stays
+    a few MB instead of the size of the whole feature map.  Values are
+    raveled in (b, j, f) order, so every position that several windows
+    pooled from sums their gradients in ascending window order j.
+    """
+    b, _, f = source.shape
+    d_fm = np.zeros((b, width * f), dtype=d_pooled.dtype)
+    for lo in range(0, b, _SCATTER_ROWS):
+        hi = min(lo + _SCATTER_ROWS, b)
+        index = source[lo:hi] + (np.arange(hi - lo) * width)[:, None, None]
+        index *= f
+        index += np.arange(f)
+        vals = d_pooled[lo:hi] * pooled_valid[lo:hi, :, None]
+        np.add.at(d_fm[lo:hi].reshape(-1), index.ravel(), vals.ravel())
+    return d_fm.reshape(b, width, f)
+
+
 def _gru_scan(x: np.ndarray, valid: np.ndarray, gates: Mapping[str, np.ndarray],
               prefix: str = "") -> dict:
     """Scan one direction over time-major input (T, B, I).
@@ -365,12 +403,16 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     :func:`_gru_scan`.  ``d_final`` is the gradient on the state after the
     last step; ``d_steps`` optionally adds per-step output gradients.
     Returns the input gradient (T, B, I) and the gate gradients under the
-    same ``prefix + name`` keys, in gate order.
+    same ``prefix + name`` keys, in gate order.  The carried state gradient
+    is flushed to zero below ``finfo.tiny / finfo.eps`` after every step
+    (see the note by ``_GATE_NAMES``).
     """
     w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
     x, valid = cache["x"], cache["valid"]
     hs, zs, rs, cs = cache["h"], cache["z"], cache["r"], cache["c"]
     steps = x.shape[0]
+    info = np.finfo(x.dtype)
+    flush = info.tiny / info.eps
     dh = d_final.astype(x.dtype).copy()
     dx = np.zeros_like(x)
     g_w_z, g_w_r, g_w_h = (np.zeros_like(w) for w in (w_z, w_r, w_h))
@@ -400,6 +442,7 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
         g_u_z += da_z.T @ h_prev
         dx[t] += da_z @ w_z
         dh_prev += da_z @ u_z
+        dh_prev[np.abs(dh_prev) < flush] = 0.0
         dh = dh_prev
     grads = (g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h)
     return dx, {prefix + name: g for name, g in zip(_GATE_NAMES, grads)}

@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import PAD_INDEX, EssaySet, Vocabulary, denormalize_score
+from .corpus import PAD_INDEX, EssaySet, ScoreRange, Vocabulary, denormalize_score
 from .embedding import EmbeddingTable, build_embedding_matrix
 from .errors import NumericError, UsageError
 from .metrics import qwk
 from .network import (
     ModelParameters,
     _bigru_batch_backward,
+    _maxpool_batch_backward,
     forward_batch,
     init_parameters,
     make_drop_mask,
@@ -136,23 +137,18 @@ def backward(batch: Batch, params: ModelParameters, dropout_seed: int
     d_emb = np.zeros_like(emb)
     h2 = 2 * cfg.hidden_units
     for ci, k in enumerate(cfg.windows):
+        # Release each channel's forward cache as it is consumed; the GRU
+        # states alone are about 200 MB per channel at the paper's shapes.
         ch_cache = cache["channels"][ci]
+        cache["channels"][ci] = None
         d_summary = d_concat[:, ci * h2:(ci + 1) * h2]
         d_pooled, gru_grads = _bigru_batch_backward(
-            ch_cache["bigru"], tensors, f"gru{k}.", d_summary, cfg.summary_mode)
+            ch_cache.pop("bigru"), tensors, f"gru{k}.", d_summary, cfg.summary_mode)
         grads.update(gru_grads)
 
-        # Max-pooling routes each pooled gradient to its argmax source.
         pre = ch_cache["pre"]
-        d_fm = np.zeros_like(pre)
-        source = ch_cache["source"]
-        pooled_valid = ch_cache["pooled_valid"]
-        rows = np.arange(pre.shape[0])[:, None]
-        cols = np.arange(pre.shape[2])[None, :]
-        for j in range(source.shape[1]):
-            vals = d_pooled[:, j, :] * pooled_valid[:, j][:, None]
-            np.add.at(d_fm, (rows, source[:, j, :], cols), vals)
-
+        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["source"],
+                                       ch_cache["pooled_valid"], pre.shape[1])
         d_pre = d_fm * (pre > 0)
         d_pre *= ch_cache["conv_valid"][:, :, None]
 
@@ -238,14 +234,29 @@ def predict_normalized(params: ModelParameters, vocab: Vocabulary,
     return np.concatenate(outputs)
 
 
+def denormalize_predictions(essay_ids, predictions, score_range: ScoreRange
+                            ) -> list[int]:
+    """Integer scores for normalized predictions, in order.
+
+    A non-finite prediction raises :class:`NumericError` naming its essay.
+    """
+    scores = []
+    for essay_id, y in zip(essay_ids, predictions):
+        y = float(y)
+        if not np.isfinite(y):
+            raise NumericError(f"essay {essay_id}: non-finite prediction {y}")
+        scores.append(denormalize_score(y, score_range))
+    return scores
+
+
 def evaluate_qwk(params: ModelParameters, vocab: Vocabulary,
                  essay_set: EssaySet) -> float:
     """Quadratic weighted kappa of denormalized predictions against gold scores."""
-    predictions = predict_normalized(params, vocab,
-                                     [e.tokens for e in essay_set.essays])
-    rescaled = [denormalize_score(float(y), essay_set.score_range)
-                for y in predictions]
-    actual = [e.raw_score for e in essay_set.essays]
+    essays = essay_set.essays
+    predictions = predict_normalized(params, vocab, [e.tokens for e in essays])
+    rescaled = denormalize_predictions([e.essay_id for e in essays], predictions,
+                                       essay_set.score_range)
+    actual = [e.raw_score for e in essays]
     return qwk(actual, rescaled, essay_set.score_range)
 
 

@@ -78,3 +78,63 @@ def qwk_oracle(actual, predicted, min_score, max_score):
 
 def relative_error(a: float, b: float, floor: float = 1e-8) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def gru_scan_backward_unflushed(cache, gates, d_final, d_steps=None):
+    """Backprop through one GRU scan direction with no flush of tiny values.
+
+    The same arithmetic, in the same order, as the library's reverse scan
+    before it flushed the carried gradient: the reference that flushing must
+    agree with wherever the gradient is not vanishingly small.  ``cache`` is
+    the forward scan's cache; ``gates`` maps gate names to matrices.
+    """
+    w_z, w_r, w_h = gates["w_z"], gates["w_r"], gates["w_h"]
+    u_z, u_r, u_h = gates["u_z"], gates["u_r"], gates["u_h"]
+    x, valid = cache["x"], cache["valid"]
+    hs, zs, rs, cs = cache["h"], cache["z"], cache["r"], cache["c"]
+    dh = d_final.astype(x.dtype).copy()
+    dx = np.zeros_like(x)
+    grads = {name: np.zeros_like(w) for name, w in gates.items()}
+    for t in reversed(range(x.shape[0])):
+        if d_steps is not None:
+            dh = dh + d_steps[t]
+        m = valid[t][:, None].astype(x.dtype)
+        z, r, c, h_prev = zs[t], rs[t], cs[t], hs[t]
+        d_new = dh * m
+        dz = d_new * (c - h_prev)
+        dc = d_new * z
+        dh_prev = d_new * (1.0 - z) + dh * (1.0 - m)
+        da_c = dc * (1.0 - c * c)
+        grads["w_h"] += da_c.T @ x[t]
+        grads["u_h"] += da_c.T @ (r * h_prev)
+        dx[t] += da_c @ w_h
+        d_rh = da_c @ u_h
+        dh_prev += d_rh * r
+        da_r = (d_rh * h_prev) * r * (1.0 - r)
+        grads["w_r"] += da_r.T @ x[t]
+        grads["u_r"] += da_r.T @ h_prev
+        dx[t] += da_r @ w_r
+        dh_prev += da_r @ u_r
+        da_z = dz * z * (1.0 - z)
+        grads["w_z"] += da_z.T @ x[t]
+        grads["u_z"] += da_z.T @ h_prev
+        dx[t] += da_z @ w_z
+        dh_prev += da_z @ u_z
+        dh = dh_prev
+    return dx, grads
+
+
+def maxpool_backward_loop(d_pooled, source, pooled_valid, width):
+    """Per-window scatter of pooled gradients to their argmax sources.
+
+    One ``np.add.at`` per pooled window ``j``, in ascending ``j``: the
+    reference the single flattened scatter must match bit for bit.
+    """
+    batch, windows, filters = source.shape
+    d_fm = np.zeros((batch, width, filters), dtype=d_pooled.dtype)
+    rows = np.arange(batch)[:, None]
+    cols = np.arange(filters)[None, :]
+    for j in range(windows):
+        vals = d_pooled[:, j, :] * pooled_valid[:, j][:, None]
+        np.add.at(d_fm, (rows, source[:, j, :], cols), vals)
+    return d_fm

@@ -1,6 +1,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from delaes import forward, load_model
@@ -147,6 +148,31 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_duplicate_essay_id_exits_1(self, model_path, tmp_path, capsys):
+        data = tmp_path / "dup.tsv"
+        data.write_text("essay_id\tessay_set\tessay\n"
+                        "1\t1\tan essay\n2\t1\tanother\n1\t1\tagain\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 1
+        assert "duplicate essay id 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_prediction_names_the_essay(self, model_path, data_files,
+                                            tmp_path, capsys):
+        from delaes import save_model
+        loaded = load_model(model_path)
+        loaded.params.tensors["dense.bias"][:] = np.nan
+        broken = tmp_path / "nan.bin"
+        save_model(loaded.params, loaded.vocab, loaded.score_range, broken)
+        assert main(["predict", "--model", str(broken),
+                     "--data", str(data_files["data"]),
+                     "--out", str(tmp_path / "p.csv")]) == 1
+        first_id = data_files["corpus"].essays[0].essay_id
+        err = capsys.readouterr().err
+        assert f"essay {first_id}: non-finite prediction nan" in err
+        assert "outside [0, 1]" not in err
 
 
 class TestEval:

@@ -203,6 +203,17 @@ class TestLoadUnscored:
         path = write(tmp_path / "d.tsv", "")
         assert load_unscored(path, 1) == []
 
+    def test_duplicate_id_rejected_naming_it(self, tmp_path):
+        path = write(tmp_path / "d.tsv", "essay_id\tessay_set\tessay\n"
+                     "7\t1\tfirst essay\n8\t1\tsecond\n7\t1\tagain\n")
+        with pytest.raises(FormatError, match="duplicate essay id 7"):
+            load_unscored(path, 1)
+
+    def test_same_id_in_another_prompt_is_not_scored(self, tmp_path):
+        path = write(tmp_path / "d.tsv", "essay_id\tessay_set\tessay\n"
+                     "7\t1\tfirst essay\n7\t2\tother prompt\n")
+        assert load_unscored(path, 1) == [(7, ("first", "essay"))]
+
 
 class TestEssaySetInvariants:
     def test_duplicate_ids_rejected(self):

@@ -5,7 +5,7 @@ from delaes.network import _gru_scan, _gru_scan_backward
 from delaes.training import Batch, backward
 
 from gradcheck import check_gradients
-from oracles import relative_error
+from oracles import gru_scan_backward_unflushed, relative_error
 from synthdata import tiny_model
 from test_network import random_direction
 
@@ -96,6 +96,66 @@ class TestGruScanIsolation:
             flat[i] = original
             fd = (plus - minus) / (2 * step)
             assert relative_error(fd, float(dx_flat[i])) < 1e-5
+
+
+
+def _subnormal_count(a: np.ndarray) -> int:
+    magnitude = np.abs(a)
+    return int(((magnitude > 0) & (magnitude < np.finfo(a.dtype).tiny)).sum())
+
+
+class TestVanishingGradientFlush:
+    """Backprop through 320 steps, long enough for the carried gradient to
+    vanish past float32's normal range, against the unflushed reference."""
+
+    STEPS, BATCH, INPUTS, HIDDEN = 320, 3, 4, 8
+
+    def run(self, dtype, summary_mode):
+        rng = np.random.default_rng(0)
+        direction = random_direction(rng, self.HIDDEN, self.INPUTS, scale=0.5)
+        gates = {name: w.astype(dtype) for name, w in direction.items()}
+        x = rng.normal(size=(self.STEPS, self.BATCH, self.INPUTS)).astype(dtype)
+        d_out = rng.normal(size=(self.BATCH, self.HIDDEN))
+        cache = _gru_scan(x, np.ones((self.STEPS, self.BATCH), dtype=bool), gates)
+        if summary_mode == "last":
+            d_final, d_steps = d_out.astype(dtype), None
+        else:
+            # Per-step output gradients, as the mean summary supplies them,
+            # on the final 10 steps only.
+            d_final = np.zeros((self.BATCH, self.HIDDEN), dtype=dtype)
+            d_steps = np.zeros((self.STEPS, self.BATCH, self.HIDDEN), dtype=dtype)
+            d_steps[-10:] = (d_out / 10).astype(dtype)
+        got = _gru_scan_backward(cache, gates, d_final, d_steps)
+        want = gru_scan_backward_unflushed(cache, gates, d_final, d_steps)
+        return got, want
+
+    @staticmethod
+    def pairs(got, want):
+        (dx, grads), (ref_dx, ref_grads) = got, want
+        return [("dx", dx, ref_dx)] + [(name, grads[name], ref_grads[name])
+                                       for name in ref_grads]
+
+    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
+    def test_float32_flushes_and_matches_reference(self, summary_mode):
+        got, want = self.run(np.float32, summary_mode)
+        info = np.finfo(np.float32)
+        threshold = info.tiny / info.eps
+        assert _subnormal_count(want[0]) > 0, "reference gradient did not vanish"
+        for name, value, reference in self.pairs(got, want):
+            assert _subnormal_count(value) == 0, name
+            # Each flushed entry was below the threshold, so no entry moves
+            # by more than about one threshold; well above it, none moves.
+            np.testing.assert_allclose(value, reference, rtol=0,
+                                       atol=2 * threshold, err_msg=name)
+            large = np.abs(reference) >= threshold / info.eps
+            np.testing.assert_array_equal(value[large], reference[large],
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
+    def test_float64_is_bitwise_reference(self, summary_mode):
+        got, want = self.run(np.float64, summary_mode)
+        for name, value, reference in self.pairs(got, want):
+            np.testing.assert_array_equal(value, reference, err_msg=name)
 
 
 class TestBackwardContracts:

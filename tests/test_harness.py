@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from delaes import UsageError, build_vocabulary, harness
+from delaes import NumericError, UsageError, build_vocabulary, harness
 from delaes.harness import (
     plan_folds,
     report_to_csv,
@@ -130,6 +130,21 @@ class TestRunCv:
         report = run_cv(corpus, table, cv_config(epochs=2), k=2, seed=7,
                         rounds_limit=1)
         assert len(report.rounds) == 1
+
+    def test_nan_prediction_names_the_essay(self, monkeypatch):
+        corpus = make_corpus(64, seed=5)
+        table = make_table(12, seed=9)
+        plan = plan_folds(corpus, k=2, seed=7)
+        tested = set(plan.members(round_layout(2)[0][0]))
+        first = next(e.essay_id for e in corpus if e.essay_id in tested)
+
+        def nan_scores(params, vocab, token_sequences):
+            return np.full(len(token_sequences), np.nan)
+
+        monkeypatch.setattr(harness, "predict_normalized", nan_scores)
+        with pytest.raises(NumericError,
+                           match=f"essay {first}: non-finite prediction nan"):
+            run_cv(corpus, table, cv_config(epochs=1), k=2, seed=7)
 
     def test_report_serialization_shape(self, report):
         payload = json.loads(report_to_json(report))

@@ -12,8 +12,14 @@ from delaes.network import (
     sigmoid,
     summary_width,
 )
+from delaes.network import _maxpool_batch, _maxpool_batch_backward
 
-from oracles import conv_relu_oracle, gru_step_scalar, maxpool_oracle
+from oracles import (
+    conv_relu_oracle,
+    gru_step_scalar,
+    maxpool_backward_loop,
+    maxpool_oracle,
+)
 from synthdata import tiny_model
 
 
@@ -109,6 +115,24 @@ class TestMaxpool:
     def test_rejects_bad_pool(self):
         with pytest.raises(DomainError):
             maxpool(np.ones((1, 3)), 0, 1)
+
+    @pytest.mark.parametrize("pool, stride", [(2, 2), (3, 1), (4, 2), (2, 5)])
+    def test_backward_scatter_matches_per_window_loop(self, pool, stride):
+        rng = np.random.default_rng(pool * 10 + stride)
+        batch, width, filters = 37, 17, 5   # more than one block of rows
+        fm = rng.normal(size=(batch, width, filters)).astype(np.float32)
+        valid = np.ones((batch, width), dtype=bool)
+        valid[1, 9:] = False
+        valid[20, :] = False
+        valid[20, 3] = True
+        pooled, source, pooled_valid = _maxpool_batch(fm, valid, pool, stride)
+        d_pooled = rng.normal(size=pooled.shape).astype(np.float32)
+        d_pooled[0, 0, :2] = -0.0
+        got = _maxpool_batch_backward(d_pooled, source, pooled_valid, width)
+        want = maxpool_backward_loop(d_pooled, source, pooled_valid, width)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # Bit patterns, so signed zeros count too.
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestGruStep:
