@@ -9,6 +9,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -109,8 +110,7 @@ def load_model(path) -> ModelArtifact:
             raise FormatError(f"{path}: tensor name is not UTF-8") from None
         ndim = reader.u32()
         shape = tuple(reader.u32() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = reader.take(count * 4)
+        raw = reader.take(math.prod(shape) * 4)
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(
             np.float32).reshape(shape)
     if reader.offset != len(reader.data):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .corpus import text_lines
 from .errors import FormatError, UsageError
 
 
@@ -81,15 +82,14 @@ def parse_config_file(path) -> dict[str, str]:
     interpretation happens in :func:`apply_config_entries`.
     """
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+    for lineno, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = value.strip()
     return entries
 
 

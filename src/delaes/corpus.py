@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainError,
@@ -223,6 +223,19 @@ def _decode(path, encoding: str) -> str:
         return raw.decode(codec)
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: cannot decode input as {codec}: {exc}") from None
+
+
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """Stream ``(line number, stripped line)`` for each non-blank line of a
+    UTF-8 file; undecodable bytes raise :class:`EncodingError` naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{path}: cannot decode input as utf-8: {exc}") from None
 
 
 class TsvRow:

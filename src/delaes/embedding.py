@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PAD_INDEX, Vocabulary
+from .corpus import PAD_INDEX, Vocabulary, text_lines
 from .errors import DomainError, FormatError, UsageError
 
 
@@ -32,8 +32,8 @@ class EmbeddingMatrix:
     trainable: bool = True
 
 
-def load_embeddings(path, expected_dim: int, encoding: str = "utf-8") -> EmbeddingTable:
-    """Parse a text embedding file: one token plus ``expected_dim`` reals per line.
+def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
+    """Parse a UTF-8 embedding file: one token plus ``expected_dim`` reals per line.
 
     An optional first line of the form ``count dim`` is recognized and
     skipped.  Duplicate tokens keep their first occurrence.
@@ -41,31 +41,28 @@ def load_embeddings(path, expected_dim: int, encoding: str = "utf-8") -> Embeddi
     if expected_dim < 1:
         raise DomainError("expected_dim must be >= 1")
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding=encoding) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2 and _both_ints(fields):
-                declared = int(fields[1])
-                if declared != expected_dim:
-                    raise FormatError(
-                        f"{path}:1: header declares dimension {declared}, "
-                        f"expected {expected_dim}"
-                    )
-                continue
-            token, values = fields[0], fields[1:]
-            if len(values) != expected_dim:
+    for lineno, line in text_lines(path):
+        fields = line.split()
+        if lineno == 1 and len(fields) == 2 and _both_ints(fields):
+            declared = int(fields[1])
+            if declared != expected_dim:
                 raise FormatError(
-                    f"{path}:{lineno}: expected {expected_dim} vector components, "
-                    f"found {len(values)}"
+                    f"{path}:1: header declares dimension {declared}, "
+                    f"expected {expected_dim}"
                 )
-            try:
-                vector = np.array([float(v) for v in values], dtype=np.float32)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if token not in vectors:
-                vectors[token] = vector
+            continue
+        token, values = fields[0], fields[1:]
+        if len(values) != expected_dim:
+            raise FormatError(
+                f"{path}:{lineno}: expected {expected_dim} vector components, "
+                f"found {len(values)}"
+            )
+        try:
+            vector = np.array([float(v) for v in values], dtype=np.float32)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if token not in vectors:
+            vectors[token] = vector
     return EmbeddingTable(dimension=expected_dim, vectors=vectors)
 
 

@@ -93,15 +93,14 @@ def _round_roles(plan: FoldPlan, test_folds: tuple[int, ...]
     start = test_folds[-1] + 1
     remaining = [(start + j) % k for j in range(k - len(test_folds))]
     if len(remaining) >= 2:
-        val_folds = (remaining[0],)
         train_ids = [eid for fold in remaining[1:] for eid in plan.members(fold)]
         val_ids = plan.members(remaining[0])
     else:
         ids = plan.members(remaining[0])
         val_ids = ids[::8]
-        train_ids = [eid for eid in ids if eid not in set(val_ids)]
-        val_folds = (remaining[0],)
-    return train_ids, val_ids, val_folds
+        held = set(val_ids)
+        train_ids = [eid for eid in ids if eid not in held]
+    return train_ids, val_ids, (remaining[0],)
 
 
 def run_cv(essay_set: EssaySet, embeddings: EmbeddingTable, cfg: TrainConfig,

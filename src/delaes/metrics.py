@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ScoreRange
+from .corpus import ScoreRange, text_lines
 from .errors import DomainError, FormatError, UsageError
 
 
@@ -94,21 +94,17 @@ def read_predictions(path) -> list[tuple[int, int]]:
     (``"3.0"``) are accepted.
     """
     rows: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != 2:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 2 comma-separated fields, "
-                    f"found {len(fields)}"
-                )
-            if lineno == 1 and not _looks_numeric(fields[0]):
-                continue
-            rows.append((_parse_integer(path, lineno, "essay_id", fields[0]),
-                         _parse_integer(path, lineno, "score", fields[1])))
+    for lineno, line in text_lines(path):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise FormatError(
+                f"{path}:{lineno}: expected 2 comma-separated fields, "
+                f"found {len(fields)}"
+            )
+        if lineno == 1 and not _looks_numeric(fields[0]):
+            continue
+        rows.append((_parse_integer(path, lineno, "essay_id", fields[0]),
+                     _parse_integer(path, lineno, "score", fields[1])))
     return rows
 
 

@@ -1,8 +1,10 @@
-"""Forward computation of the scoring network.
+"""Forward and reverse mode of every layer of the scoring network.
 
 Stack, per essay: embedding lookup -> per-channel {1D convolution over word
 windows -> ReLU -> temporal max-pooling -> bidirectional GRU} -> channel
-summaries concatenated -> dropout (training only) -> sigmoid head.
+summaries concatenated -> dropout (training only) -> sigmoid head.  This
+module owns every layer's forward and reverse mode: :func:`backward_batch`
+alone reads the cache :func:`forward_batch` returns.
 
 The parameters are one ordered ``name -> ndarray`` map
 (:class:`ModelParameters`), the same form the artifact, the gradients and
@@ -283,7 +285,7 @@ def make_drop_mask(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# Batched internals (shared by inference and the training-time backward pass)
+# Batched internals: each layer's forward and, beside it, its reverse mode
 # ---------------------------------------------------------------------------
 
 def _conv_pre_batch(emb: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -305,8 +307,19 @@ def _conv_pre_batch(emb: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return pre, windows.all(axis=2)
 
 
-def pooled_length(width: int, pool: int, stride: int) -> int:
-    return max(1, -(-(width - pool) // stride) + 1)
+def _conv_batch_backward(emb: np.ndarray, d_pre: np.ndarray,
+                         weights: np.ndarray, d_emb: np.ndarray):
+    """Weight and bias gradients of :func:`_conv_pre_batch` for pre-activation
+    gradients ``d_pre`` (B, P, F); adds the input gradient into ``d_emb``."""
+    d = emb.shape[2]
+    p = d_pre.shape[1]
+    g_w = np.zeros_like(weights)
+    d_pre_flat = d_pre.reshape(-1, d_pre.shape[2])
+    for j in range(weights.shape[1] // d):
+        window = np.ascontiguousarray(emb[:, j:j + p, :]).reshape(-1, d)
+        g_w[:, j * d:(j + 1) * d] = d_pre_flat.T @ window
+        d_emb[:, j:j + p, :] += d_pre @ weights[:, j * d:(j + 1) * d]
+    return g_w, d_pre.sum(axis=(0, 1))
 
 
 def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
@@ -317,7 +330,7 @@ def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
     and are marked invalid.
     """
     b, width, f = fm.shape
-    t = pooled_length(width, pool, stride)
+    t = max(1, -(-(width - pool) // stride) + 1)
     lowest = np.finfo(fm.dtype).min
     masked = np.where(valid[:, :, None], fm, lowest)
     pooled = np.zeros((b, t, f), dtype=fm.dtype)
@@ -454,7 +467,8 @@ def _bigru_batch(pooled: np.ndarray, pooled_valid: np.ndarray,
     """Both directions over batch-major pooled features (B, T, F).
 
     The directions' matrices are ``tensors[prefix + "fw." + gate]`` and
-    ``tensors[prefix + "bw." + gate]``.
+    ``tensors[prefix + "bw." + gate]``.  Returns the channel summary (B, 2H)
+    and the two scan caches.
     """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
     valid = np.ascontiguousarray(pooled_valid.T)
@@ -468,7 +482,7 @@ def _bigru_batch(pooled: np.ndarray, pooled_valid: np.ndarray,
         mean_fw = (fw["h"][1:] * weights).sum(axis=0) / counts
         mean_bw = (bw["h"][1:] * weights[::-1]).sum(axis=0) / counts
         summary = np.concatenate([mean_fw, mean_bw], axis=1)
-    return {"fw": fw, "bw": bw, "summary": summary}
+    return summary, {"fw": fw, "bw": bw}
 
 
 def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray],
@@ -480,20 +494,16 @@ def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray],
     hidden = d_summary.shape[1] // 2
     d_fw, d_bw = d_summary[:, :hidden], d_summary[:, hidden:]
     fw, bw = cache["fw"], cache["bw"]
-    valid = fw["valid"]
-    dtype = fw["x"].dtype
-    if summary_mode == "last":
-        dx_fw, g_fw = _gru_scan_backward(fw, tensors, d_fw, prefix=prefix + "fw.")
-        dx_bw, g_bw = _gru_scan_backward(bw, tensors, d_bw, prefix=prefix + "bw.")
-    else:
+    steps_fw = steps_bw = None
+    if summary_mode == "mean":
+        valid = fw["valid"]
+        dtype = fw["x"].dtype
         counts = np.maximum(valid.sum(axis=0), 1).astype(dtype)[:, None]
-        zeros = np.zeros_like(d_fw)
         steps_fw = valid.astype(dtype)[:, :, None] * (d_fw / counts)[None]
         steps_bw = valid[::-1].astype(dtype)[:, :, None] * (d_bw / counts)[None]
-        dx_fw, g_fw = _gru_scan_backward(fw, tensors, zeros, steps_fw,
-                                         prefix + "fw.")
-        dx_bw, g_bw = _gru_scan_backward(bw, tensors, zeros, steps_bw,
-                                         prefix + "bw.")
+        d_fw = d_bw = np.zeros_like(d_fw)
+    dx_fw, g_fw = _gru_scan_backward(fw, tensors, d_fw, steps_fw, prefix + "fw.")
+    dx_bw, g_bw = _gru_scan_backward(bw, tensors, d_bw, steps_bw, prefix + "bw.")
     g_fw.update(g_bw)
     d_pooled = (dx_fw + dx_bw[::-1]).transpose(1, 0, 2)
     return d_pooled, g_fw
@@ -501,7 +511,8 @@ def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray],
 
 def forward_batch(indices: np.ndarray, mask: np.ndarray,
                   params: ModelParameters, drop_mask: np.ndarray | None = None):
-    """Score a padded batch; returns predictions (B,) and a cache for backprop.
+    """Score a padded batch; returns predictions (B,) and the cache that
+    :func:`backward_batch` reads.
 
     ``drop_mask`` is a fixed dropout realization from :func:`make_drop_mask`,
     or None for inference.
@@ -517,26 +528,61 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
         fm = np.maximum(pre, 0)
         pooled, source, pooled_valid = _maxpool_batch(
             fm, conv_valid, cfg.pool_size, cfg.pool_stride)
-        bicache = _bigru_batch(pooled, pooled_valid, tensors, f"gru{k}.",
-                               cfg.summary_mode)
-        summaries.append(bicache["summary"])
-        channels.append({
-            "pre": pre,
-            "conv_valid": conv_valid,
-            "source": source,
-            "pooled_valid": pooled_valid,
-            "bigru": bicache,
-        })
+        summary, bicache = _bigru_batch(pooled, pooled_valid, tensors,
+                                        f"gru{k}.", cfg.summary_mode)
+        summaries.append(summary)
+        channels.append({"pre": pre, "conv_valid": conv_valid, "source": source,
+                         "pooled_valid": pooled_valid, "bigru": bicache})
     concat = np.concatenate(summaries, axis=1)
     dropped = concat * drop_mask if drop_mask is not None else concat
     logits = dropped @ tensors["dense.weights"] + tensors["dense.bias"][0]
     yhat = sigmoid(logits)
-    cache = {
-        "indices": indices,
-        "mask": mask,
-        "channels": channels,
-        "dropped": dropped,
-        "drop_mask": drop_mask,
-        "yhat": yhat,
-    }
-    return yhat, cache
+    return yhat, {"indices": indices, "emb": emb, "channels": channels,
+                  "dropped": dropped, "drop_mask": drop_mask, "yhat": yhat}
+
+
+def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
+                   ) -> dict[str, np.ndarray]:
+    """Exact gradients of every tensor, given the loss gradient ``d_yhat`` on
+    the predictions of the :func:`forward_batch` call that built ``cache``.
+
+    Keys run dense head, per window GRU then conv, embedding.  The cache is
+    consumed; the PAD row and frozen embeddings get zero gradient.
+    """
+    cfg = params.config
+    tensors = params.tensors
+    yhat = cache["yhat"]
+    grads: dict[str, np.ndarray] = {}
+    d_logit = d_yhat * yhat * (1.0 - yhat)
+    grads["dense.weights"] = cache["dropped"].T @ d_logit
+    grads["dense.bias"] = np.array([d_logit.sum()], dtype=params.dtype)
+    d_dropped = d_logit[:, None] * tensors["dense.weights"][None, :]
+    drop_mask = cache["drop_mask"]
+    d_concat = d_dropped * drop_mask if drop_mask is not None else d_dropped
+
+    emb = cache["emb"]
+    d_emb = np.zeros_like(emb)
+    h2 = 2 * cfg.hidden_units
+    channels = cache["channels"]
+    for ci, k in enumerate(cfg.windows):
+        # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
+        ch_cache, channels[ci] = channels[ci], None
+        d_pooled, gru_grads = _bigru_batch_backward(
+            ch_cache.pop("bigru"), tensors, f"gru{k}.",
+            d_concat[:, ci * h2:(ci + 1) * h2], cfg.summary_mode)
+        grads.update(gru_grads)
+        pre = ch_cache["pre"]
+        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["source"],
+                                       ch_cache["pooled_valid"], pre.shape[1])
+        d_pre = d_fm * (pre > 0)
+        d_pre *= ch_cache["conv_valid"][:, :, None]
+        grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = _conv_batch_backward(
+            emb, d_pre, tensors[f"conv{k}.weights"], d_emb)
+
+    g_embedding = np.zeros_like(tensors["embedding"])
+    if params.embedding_trainable:
+        np.add.at(g_embedding, cache["indices"].ravel(),
+                  d_emb.reshape(-1, emb.shape[2]))
+        g_embedding[PAD_INDEX] = 0.0
+    grads["embedding"] = g_embedding
+    return grads

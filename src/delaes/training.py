@@ -1,9 +1,8 @@
-"""Mini-batch training: padding/masking, reverse-mode gradients, RMSProp.
+"""Mini-batch training: batching, the loss, RMSProp and the training loop.
 
-The backward pass is written layer by layer against the forward cache, so
-gradients are exact reverse-mode derivatives of the mean-squared-error loss
-under a fixed dropout realization.  Masked positions contribute nothing, and
-the PAD embedding row never receives an update.
+:mod:`delaes.network` owns the forward and reverse mode of every layer; this
+module owns the mean-squared-error loss, whose exact gradients under a fixed
+dropout realization :func:`backward` returns, the optimizer and the loop.
 """
 from __future__ import annotations
 
@@ -13,14 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import PAD_INDEX, EssaySet, ScoreRange, Vocabulary, denormalize_score
+from .corpus import EssaySet, ScoreRange, Vocabulary, denormalize_score
 from .embedding import EmbeddingTable, build_embedding_matrix
 from .errors import NumericError, UsageError
 from .metrics import qwk
 from .network import (
     ModelParameters,
-    _bigru_batch_backward,
-    _maxpool_batch_backward,
+    backward_batch,
     forward_batch,
     init_parameters,
     make_drop_mask,
@@ -92,14 +90,10 @@ def mse_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _first_nonfinite(params: ModelParameters, grads: Gradients | None) -> str:
+def _first_nonfinite(params: ModelParameters) -> str:
     for name, tensor in params.tensors.items():
         if not np.isfinite(tensor).all():
             return name
-    if grads:
-        for name, tensor in grads.items():
-            if not np.isfinite(tensor).all():
-                return f"grad:{name}"
     return "<loss only>"
 
 
@@ -119,58 +113,11 @@ def backward(batch: Batch, params: ModelParameters, dropout_seed: int
     if not np.isfinite(loss):
         raise NumericError(
             "non-finite training loss; first non-finite tensor: "
-            + _first_nonfinite(params, None)
+            + _first_nonfinite(params)
         )
-
-    tensors = params.tensors
-    grads: Gradients = {}
-    b = len(batch)
-    # Head: d/dyhat of mean (y - yhat)^2, then through the sigmoid.
-    d_yhat = (2.0 / b) * (yhat - targets)
-    d_logit = d_yhat * yhat * (1.0 - yhat)
-    grads["dense.weights"] = cache["dropped"].T @ d_logit
-    grads["dense.bias"] = np.array([d_logit.sum()], dtype=dtype)
-    d_dropped = d_logit[:, None] * tensors["dense.weights"][None, :]
-    d_concat = d_dropped * drop_mask if drop_mask is not None else d_dropped
-
-    emb = tensors["embedding"][batch.indices]
-    d_emb = np.zeros_like(emb)
-    h2 = 2 * cfg.hidden_units
-    for ci, k in enumerate(cfg.windows):
-        # Release each channel's forward cache as it is consumed; the GRU
-        # states alone are about 200 MB per channel at the paper's shapes.
-        ch_cache = cache["channels"][ci]
-        cache["channels"][ci] = None
-        d_summary = d_concat[:, ci * h2:(ci + 1) * h2]
-        d_pooled, gru_grads = _bigru_batch_backward(
-            ch_cache.pop("bigru"), tensors, f"gru{k}.", d_summary, cfg.summary_mode)
-        grads.update(gru_grads)
-
-        pre = ch_cache["pre"]
-        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["source"],
-                                       ch_cache["pooled_valid"], pre.shape[1])
-        d_pre = d_fm * (pre > 0)
-        d_pre *= ch_cache["conv_valid"][:, :, None]
-
-        weights = tensors[f"conv{k}.weights"]
-        d = emb.shape[2]
-        p = pre.shape[1]
-        g_w = np.zeros_like(weights)
-        d_pre_flat = d_pre.reshape(-1, d_pre.shape[2])
-        for j in range(k):
-            window = np.ascontiguousarray(emb[:, j:j + p, :]).reshape(-1, d)
-            g_w[:, j * d:(j + 1) * d] = d_pre_flat.T @ window
-            d_emb[:, j:j + p, :] += d_pre @ weights[:, j * d:(j + 1) * d]
-        grads[f"conv{k}.weights"] = g_w
-        grads[f"conv{k}.bias"] = d_pre.sum(axis=(0, 1))
-
-    g_embedding = np.zeros_like(tensors["embedding"])
-    if params.embedding_trainable:
-        flat = batch.indices.ravel()
-        np.add.at(g_embedding, flat, d_emb.reshape(-1, emb.shape[2]))
-        g_embedding[PAD_INDEX] = 0.0
-    grads["embedding"] = g_embedding
-    return loss, grads
+    # d/dyhat of mean (y - yhat)^2
+    d_yhat = (2.0 / len(batch)) * (yhat - targets)
+    return loss, backward_batch(cache, params, d_yhat)
 
 
 @dataclass
@@ -229,7 +176,8 @@ def predict_normalized(params: ModelParameters, vocab: Vocabulary,
         indices, mask = pad_rows(
             [vocab.encode(tokens) for tokens in token_sequences[start:start + size]],
             max(cfg.windows))
-        yhat, _ = forward_batch(indices, mask, params)
+        # Index the result so the backprop cache is freed before the next batch.
+        yhat = forward_batch(indices, mask, params)[0]
         outputs.append(yhat.astype(np.float64))
     return np.concatenate(outputs)
 

@@ -79,6 +79,21 @@ class TestRejection:
         with pytest.raises(FormatError, match="UTF-8"):
             load_model(path)
 
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)])
+    def test_overflowing_dimensions(self, saved, dims):
+        import struct
+
+        path, *_ = saved
+        raw = path.read_bytes()
+        meta_len = struct.unpack_from("<I", raw, 8)[0]
+        name = b"embedding"
+        header = (struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+                  + struct.pack("<I", len(dims))
+                  + b"".join(struct.pack("<I", dim) for dim in dims))
+        path.write_bytes(raw[:12 + meta_len] + header + b"\x00" * 64)
+        with pytest.raises(FormatError, match="truncated"):
+            load_model(path)
+
     def test_shape_metadata_mismatch(self, saved):
         import json
         import struct

@@ -175,6 +175,41 @@ class TestPredict:
         assert "outside [0, 1]" not in err
 
 
+class TestUndecodableInput:
+    """A byte that is not UTF-8 in a text input is a data error, not a crash."""
+
+    @staticmethod
+    def spoil(path, tmp_path):
+        bad = tmp_path / ("bad-" + path.name)
+        bad.write_bytes(path.read_bytes() + b"caf\xff 1\n")
+        return bad
+
+    def check(self, args, bad, capsys):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+        assert "Traceback" not in err
+
+    def test_embeddings_file(self, data_files, tmp_path, capsys):
+        bad = self.spoil(data_files["vectors"], tmp_path)
+        args = train_args(data_files, tmp_path / "m.bin")
+        args[args.index("--embeddings") + 1] = str(bad)
+        self.check(args, bad, capsys)
+
+    def test_config_file(self, data_files, tmp_path, capsys):
+        bad = self.spoil(data_files["config"], tmp_path)
+        args = train_args(data_files, tmp_path / "m.bin")
+        args[args.index("--config") + 1] = str(bad)
+        self.check(args, bad, capsys)
+
+    def test_eval_prediction_file(self, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("1,2\n")
+        bad = self.spoil(gold, tmp_path)
+        self.check(["eval", "--pred", str(bad), "--gold", str(gold),
+                    "--range", "2:4"], bad, capsys)
+
+
 class TestEval:
     def test_perfect_agreement_prints_one(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delaes.network import _gru_scan, _gru_scan_backward
+from delaes.network import _gru_scan, _gru_scan_backward, pad_rows
 from delaes.training import Batch, backward
 
 from gradcheck import check_gradients
@@ -180,6 +180,32 @@ class TestBackwardContracts:
         for name in grads_one:
             np.testing.assert_allclose(grads_two[name], grads_one[name],
                                        rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
+    def test_batch_rows_are_isolated(self, summary_mode):
+        # 19 essays of mixed lengths cross a 16-row block of the pool-scatter
+        # and pad differently; the mean loss makes the batch gradient the
+        # mean of the single-essay gradients.
+        import dataclasses
+        _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
+        params.config = dataclasses.replace(params.config,
+                                            summary_mode=summary_mode)
+        rng = np.random.default_rng(4)
+        rows = [rng.integers(1, vocab.size, int(n)) for n in rng.integers(2, 23, 19)]
+        targets = rng.random(len(rows))
+        min_length = max(params.config.windows)
+
+        def batch_of(indices):
+            chosen = [rows[i] for i in indices]
+            return Batch(*pad_rows(chosen, min_length), targets[indices],
+                         tuple(indices))
+
+        _, grads = backward(batch_of(list(range(len(rows)))), params, 1)
+        singles = [backward(batch_of([i]), params, 1)[1] for i in range(len(rows))]
+        assert len({len(row) for row in rows}) > 5
+        for name, grad in grads.items():
+            mean = sum(single[name] for single in singles) / len(rows)
+            np.testing.assert_allclose(grad, mean, rtol=1e-12, err_msg=name)
 
     def test_pad_row_gradient_identically_zero(self):
         _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
