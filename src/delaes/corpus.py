@@ -11,7 +11,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -214,28 +213,26 @@ def build_vocabulary(sets: Iterable[EssaySet], min_count: int = 1) -> Vocabulary
     return Vocabulary([token for token, _ in kept])
 
 
-def _decode(path, encoding: str) -> str:
+def text_lines(path, encoding: str = "utf8") -> Iterator[tuple[int, str]]:
+    """Stream ``(line number, line)`` for each non-blank line of a text file.
+
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``; line numbers count
+    every physical line, blank ones included; only the line ending is
+    removed, so tabs and spaces at either end are kept.  ``encoding`` is
+    ``latin1`` or ``utf8``; undecodable bytes raise :class:`EncodingError`
+    naming the path.
+    """
     codec = _ENCODINGS.get(encoding.lower())
     if codec is None:
         raise UsageError(f"unsupported encoding {encoding!r} (use latin1 or utf8)")
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode(codec)
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: cannot decode input as {codec}: {exc}") from None
-
-
-def text_lines(path) -> Iterator[tuple[int, str]]:
-    """Stream ``(line number, stripped line)`` for each non-blank line of a
-    UTF-8 file; undecodable bytes raise :class:`EncodingError` naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding=codec) as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line:
+                line = raw.rstrip("\n")
+                if line and not line.isspace():
                     yield lineno, line
         except UnicodeDecodeError as exc:
-            raise EncodingError(f"{path}: cannot decode input as utf-8: {exc}") from None
+            raise EncodingError(f"{path}: cannot decode input as {codec}: {exc}") from None
 
 
 class TsvRow:
@@ -268,22 +265,23 @@ def read_tsv(path, required: Sequence[str], encoding: str = "latin1"
              ) -> list[TsvRow] | None:
     """Read a headed tab-separated file into rows addressed by column name.
 
-    Blank lines are skipped.  Returns None for a file with no content at
-    all, so each caller decides whether that is zero rows or an error.
+    Lines come from :func:`text_lines`, so blank ones are skipped and the
+    first other line is the header.  Returns None for a file with no content
+    at all, so each caller decides whether that is zero rows or an error.
     Raises :class:`FormatError` when a ``required`` column is missing from
     the header or a row's field count differs from the header's.
     """
-    text = _decode(path, encoding)
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    lines = text_lines(path, encoding)
+    first = next(lines, None)
+    if first is None:
         return None
-    header = lines[0].split("\t")
+    header = first[1].split("\t")
     positions = {name: i for i, name in enumerate(header)}
     for name in required:
         if name not in positions:
             raise FormatError(f"{path}: missing required column {name!r}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         fields = line.split("\t")
         if len(fields) != len(header):
             raise FormatError(

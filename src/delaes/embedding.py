@@ -35,19 +35,19 @@ class EmbeddingMatrix:
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     """Parse a UTF-8 embedding file: one token plus ``expected_dim`` reals per line.
 
-    An optional first line of the form ``count dim`` is recognized and
-    skipped.  Duplicate tokens keep their first occurrence.
+    An optional header of the form ``count dim`` on the first non-blank line
+    is recognized and skipped.  Duplicate tokens keep their first occurrence.
     """
     if expected_dim < 1:
         raise DomainError("expected_dim must be >= 1")
     vectors: dict[str, np.ndarray] = {}
-    for lineno, line in text_lines(path):
+    for i, (lineno, line) in enumerate(text_lines(path)):
         fields = line.split()
-        if lineno == 1 and len(fields) == 2 and _both_ints(fields):
+        if i == 0 and len(fields) == 2 and _both_ints(fields):
             declared = int(fields[1])
             if declared != expected_dim:
                 raise FormatError(
-                    f"{path}:1: header declares dimension {declared}, "
+                    f"{path}:{lineno}: header declares dimension {declared}, "
                     f"expected {expected_dim}"
                 )
             continue

@@ -90,18 +90,18 @@ def qwk(actual, predicted, score_range: ScoreRange) -> float:
 def read_predictions(path) -> list[tuple[int, int]]:
     """Read a two-column comma-separated (essay_id, predicted_score) file.
 
-    An optional header row is skipped; scores written as integral floats
-    (``"3.0"``) are accepted.
+    An optional header, the first non-blank line, is skipped; scores written
+    as integral floats (``"3.0"``) are accepted.
     """
     rows: list[tuple[int, int]] = []
-    for lineno, line in text_lines(path):
+    for i, (lineno, line) in enumerate(text_lines(path)):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise FormatError(
                 f"{path}:{lineno}: expected 2 comma-separated fields, "
                 f"found {len(fields)}"
             )
-        if lineno == 1 and not _looks_numeric(fields[0]):
+        if i == 0 and not _looks_numeric(fields[0]):
             continue
         rows.append((_parse_integer(path, lineno, "essay_id", fields[0]),
                      _parse_integer(path, lineno, "score", fields[1])))

@@ -207,18 +207,14 @@ def maxpool(feature_map: np.ndarray, pool: int, stride: int) -> np.ndarray:
 
 def gru_step(x_t: np.ndarray, h_prev: np.ndarray,
              p: Mapping[str, np.ndarray]) -> np.ndarray:
-    """One recurrence step: update gate z, reset gate r, candidate state.
+    """One recurrence step of :func:`_gru_cell` for a single essay.
 
     ``p`` maps the gate names ``w_z``, ``w_r``, ``w_h`` (hidden, inputs) and
     ``u_z``, ``u_r``, ``u_h`` (hidden, hidden) to one direction's matrices.
-
-    z = sigmoid(w_z x + u_z h);  r = sigmoid(w_r x + u_r h)
-    c = tanh(w_h x + u_h (r * h));  h' = (1 - z) * h + z * c
     """
-    z = sigmoid(p["w_z"] @ x_t + p["u_z"] @ h_prev)
-    r = sigmoid(p["w_r"] @ x_t + p["u_r"] @ h_prev)
-    c = np.tanh(p["w_h"] @ x_t + p["u_h"] @ (r * h_prev))
-    return (1.0 - z) * h_prev + z * c
+    *_, h = _gru_cell(np.asarray(x_t)[None], np.asarray(h_prev)[None],
+                      *(p[name] for name in _GATE_NAMES))
+    return h[0]
 
 
 def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
@@ -325,56 +321,62 @@ def _conv_batch_backward(emb: np.ndarray, d_pre: np.ndarray,
 def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
     """Masked temporal max-pooling.
 
-    Returns pooled values (B, T, F), source indices for backprop (B, T, F)
+    Returns pooled values (B, T, F), each window's argmax offset (B, T, F)
     and pooled validity (B, T); windows with no valid position pool to zero
-    and are marked invalid.
+    and are marked invalid.  One pass per offset inside the window: an offset
+    replaces the running best where it is greater or NaN and the best is not
+    NaN, as ``np.argmax`` picks (first maximum, NaN wins).  Masked positions
+    hold ``finfo.min``; positions past the input hold -inf, which never wins.
     """
     b, width, f = fm.shape
     t = max(1, -(-(width - pool) // stride) + 1)
-    lowest = np.finfo(fm.dtype).min
-    masked = np.where(valid[:, :, None], fm, lowest)
-    pooled = np.zeros((b, t, f), dtype=fm.dtype)
-    source = np.zeros((b, t, f), dtype=np.int64)
-    pooled_valid = np.zeros((b, t), dtype=bool)
-    for j in range(t):
-        lo = j * stride
-        hi = min(lo + pool, width)
-        if lo >= width:
-            continue
-        segment = masked[:, lo:hi, :]
-        arg = segment.argmax(axis=1)
-        best = np.take_along_axis(segment, arg[:, None, :], axis=1)[:, 0, :]
-        window_valid = valid[:, lo:hi].any(axis=1)
-        pooled[:, j, :] = np.where(window_valid[:, None], best, 0)
-        source[:, j, :] = arg + lo
-        pooled_valid[:, j] = window_valid
-    return pooled, source, pooled_valid
+    span, last = (t - 1) * stride + pool, (t - 1) * stride + 1
+    masked = np.full((b, span, f), -np.inf, dtype=fm.dtype)
+    masked[:, :width] = np.finfo(fm.dtype).min
+    np.copyto(masked[:, :width], fm, where=valid[:, :, None])
+    valid_span = np.pad(valid, ((0, 0), (0, span - width)))
+    pooled = masked[:, :last:stride].copy()
+    offset = np.zeros((b, t, f), dtype=np.intp)
+    pooled_valid = valid_span[:, :last:stride].copy()
+    for o in range(1, pool):
+        cand = masked[:, o:o + last:stride]
+        better = (pooled == pooled) & ~(cand <= pooled)
+        np.copyto(pooled, cand, where=better)
+        np.copyto(offset, o, where=better)
+        pooled_valid |= valid_span[:, o:o + last:stride]
+    pooled[~pooled_valid] = 0
+    return pooled, offset, pooled_valid
 
 
-#: Batch rows per scatter in :func:`_maxpool_batch_backward`.
-_SCATTER_ROWS = 16
-
-
-def _maxpool_batch_backward(d_pooled: np.ndarray, source: np.ndarray,
-                            pooled_valid: np.ndarray, width: int) -> np.ndarray:
-    """Route pooled gradients (B, T, F) to their argmax sources in a
+def _maxpool_batch_backward(d_pooled: np.ndarray, offset: np.ndarray,
+                            pooled_valid: np.ndarray, width: int, pool: int,
+                            stride: int) -> np.ndarray:
+    """Route pooled gradients (B, T, F) to their argmax positions in a
     (B, width, F) map; invalid windows contribute nothing.
 
-    One flattened scatter per block of batch rows, whose int64 index stays
-    a few MB instead of the size of the whole feature map.  Values are
-    raveled in (b, j, f) order, so every position that several windows
-    pooled from sums their gradients in ascending window order j.
+    Offsets run last to first, so a position that several windows pooled
+    from sums their gradients in ascending window order.
     """
-    b, _, f = source.shape
-    d_fm = np.zeros((b, width * f), dtype=d_pooled.dtype)
-    for lo in range(0, b, _SCATTER_ROWS):
-        hi = min(lo + _SCATTER_ROWS, b)
-        index = source[lo:hi] + (np.arange(hi - lo) * width)[:, None, None]
-        index *= f
-        index += np.arange(f)
-        vals = d_pooled[lo:hi] * pooled_valid[lo:hi, :, None]
-        np.add.at(d_fm[lo:hi].reshape(-1), index.ravel(), vals.ravel())
-    return d_fm.reshape(b, width, f)
+    b, t, f = offset.shape
+    last = (t - 1) * stride + 1
+    d_fm = np.zeros((b, last + pool - 1, f), dtype=d_pooled.dtype)
+    d = np.where(pooled_valid[:, :, None], d_pooled, 0)
+    for o in range(pool - 1, -1, -1):
+        d_fm[:, o:o + last:stride] += np.where(offset == o, d, 0)
+    return d_fm[:, :width]
+
+
+def _gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h):
+    """One recurrence step on row-stacked inputs (B, I) and states (B, H);
+    returns z, r, c and the new state h'.
+
+    z = sigmoid(w_z x + u_z h);  r = sigmoid(w_r x + u_r h)
+    c = tanh(w_h x + u_h (r * h));  h' = (1 - z) * h + z * c
+    """
+    z = sigmoid(x @ w_z.T + h @ u_z.T)
+    r = sigmoid(x @ w_r.T + h @ u_r.T)
+    c = np.tanh(x @ w_h.T + (r * h) @ u_h.T)
+    return z, r, c, (1.0 - z) * h + z * c
 
 
 def _gru_scan(x: np.ndarray, valid: np.ndarray, gates: Mapping[str, np.ndarray],
@@ -397,10 +399,7 @@ def _gru_scan(x: np.ndarray, valid: np.ndarray, gates: Mapping[str, np.ndarray],
     cs = np.empty_like(zs)
     hs[0] = h
     for t in range(steps):
-        z = sigmoid(x[t] @ w_z.T + h @ u_z.T)
-        r = sigmoid(x[t] @ w_r.T + h @ u_r.T)
-        c = np.tanh(x[t] @ w_h.T + (r * h) @ u_h.T)
-        h_new = (1.0 - z) * h + z * c
+        z, r, c, h_new = _gru_cell(x[t], h, w_z, w_r, w_h, u_z, u_r, u_h)
         h = np.where(valid[t][:, None], h_new, h)
         zs[t], rs[t], cs[t] = z, r, c
         hs[t + 1] = h
@@ -526,12 +525,12 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
         pre, conv_valid = _conv_pre_batch(emb, tensors[f"conv{k}.weights"],
                                           tensors[f"conv{k}.bias"], mask)
         fm = np.maximum(pre, 0)
-        pooled, source, pooled_valid = _maxpool_batch(
+        pooled, offset, pooled_valid = _maxpool_batch(
             fm, conv_valid, cfg.pool_size, cfg.pool_stride)
         summary, bicache = _bigru_batch(pooled, pooled_valid, tensors,
                                         f"gru{k}.", cfg.summary_mode)
         summaries.append(summary)
-        channels.append({"pre": pre, "conv_valid": conv_valid, "source": source,
+        channels.append({"pre": pre, "conv_valid": conv_valid, "offset": offset,
                          "pooled_valid": pooled_valid, "bigru": bicache})
     concat = np.concatenate(summaries, axis=1)
     dropped = concat * drop_mask if drop_mask is not None else concat
@@ -572,8 +571,9 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
             d_concat[:, ci * h2:(ci + 1) * h2], cfg.summary_mode)
         grads.update(gru_grads)
         pre = ch_cache["pre"]
-        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["source"],
-                                       ch_cache["pooled_valid"], pre.shape[1])
+        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["offset"],
+                                       ch_cache["pooled_valid"], pre.shape[1],
+                                       cfg.pool_size, cfg.pool_stride)
         d_pre = d_fm * (pre > 0)
         d_pre *= ch_cache["conv_valid"][:, :, None]
         grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = _conv_batch_backward(

@@ -124,11 +124,39 @@ def gru_scan_backward_unflushed(cache, gates, d_final, d_steps=None):
     return dx, grads
 
 
+def maxpool_batch_loop(fm, valid, pool, stride):
+    """Masked batch pooling with one ``argmax`` per pooled window.
+
+    Returns pooled values, argmax source positions and window validity, as
+    the library's offset-loop pooling must reproduce them bit for bit:
+    masked positions hold ``finfo.min``, a window with no valid position
+    pools to zero, and a window starting past the input keeps source 0.
+    """
+    batch, width, filters = fm.shape
+    windows = max(1, math.ceil((width - pool) / stride) + 1)
+    masked = np.where(valid[:, :, None], fm, np.finfo(fm.dtype).min)
+    pooled = np.zeros((batch, windows, filters), dtype=fm.dtype)
+    source = np.zeros((batch, windows, filters), dtype=np.int64)
+    pooled_valid = np.zeros((batch, windows), dtype=bool)
+    for j in range(windows):
+        lo = j * stride
+        if lo >= width:
+            continue
+        segment = masked[:, lo:lo + pool, :]
+        arg = segment.argmax(axis=1)
+        best = np.take_along_axis(segment, arg[:, None, :], axis=1)[:, 0, :]
+        window_valid = valid[:, lo:lo + pool].any(axis=1)
+        pooled[:, j, :] = np.where(window_valid[:, None], best, 0)
+        source[:, j, :] = arg + lo
+        pooled_valid[:, j] = window_valid
+    return pooled, source, pooled_valid
+
+
 def maxpool_backward_loop(d_pooled, source, pooled_valid, width):
     """Per-window scatter of pooled gradients to their argmax sources.
 
     One ``np.add.at`` per pooled window ``j``, in ascending ``j``: the
-    reference the single flattened scatter must match bit for bit.
+    reference the library's per-offset routing must match bit for bit.
     """
     batch, windows, filters = source.shape
     d_fm = np.zeros((batch, width, filters), dtype=d_pooled.dtype)

@@ -175,6 +175,29 @@ class TestLoadDataset:
         loaded = load_dataset(path, 1, ScoreRange(1, 2, 4), encoding="latin1")
         assert "café" in loaded.essays[0].tokens
 
+    @pytest.mark.parametrize("char", ["\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_control_character_inside_essay_stays_in_its_row(self, tmp_path, char):
+        # 0x85 is the Windows-1252 ellipsis of the latin-1 ASAP file.
+        path = write(tmp_path / "d.tsv",
+                     f"{TSV_HEADER}\n1\t1\tWell{char} then we go\t3\n2\t1\tnext\t4\n")
+        loaded = load_dataset(path, 1, ScoreRange(1, 2, 4))
+        assert [e.essay_id for e in loaded] == [1, 2]
+        assert loaded.essays[0].tokens == ("well", "then", "we", "go")
+
+    def test_crlf_file_with_trailing_empty_column_loads(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(f"{TSV_HEADER}\trater3\r\n1\t1\thello there\t3\t\r\n"
+                         f"2\t1\tbye now\t4\t\r\n".encode("latin-1"))
+        loaded = load_dataset(path, 1, ScoreRange(1, 2, 4))
+        assert [(e.essay_id, e.raw_score) for e in loaded] == [(1, 3), (2, 4)]
+        assert loaded.essays[1].tokens == ("bye", "now")
+
+    def test_error_line_number_counts_blank_lines(self, tmp_path):
+        path = write(tmp_path / "blank.tsv",
+                     f"{TSV_HEADER}\n\n\n1\t1\thello\t3\n2\t1\tbroken row\n")
+        with pytest.raises(FormatError, match=r"blank\.tsv:5:"):
+            load_dataset(path, 1, ScoreRange(1, 2, 4))
+
     def test_extra_columns_ignored(self, tmp_path):
         path = write(tmp_path / "d.tsv",
                      "essay_id\tessay_set\tessay\tdomain1_score\trater3\n"

@@ -33,6 +33,11 @@ class TestLoadEmbeddings:
         table = load_embeddings(path, expected_dim=300)
         assert len(table) == 2
 
+    def test_header_after_blank_line_recognized(self, tmp_path):
+        path = write(tmp_path / "v.txt", "\n2 3\na 1 2 3\nb 4 5 6\n")
+        table = load_embeddings(path, expected_dim=3)
+        assert len(table) == 2
+
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = write(tmp_path / "v.txt", "a 1.0\n")
         with pytest.raises(FormatError, match=":1"):

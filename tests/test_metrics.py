@@ -157,6 +157,11 @@ class TestReadPredictions:
         path.write_text("essay_id,predicted_score\n1,3\n")
         assert read_predictions(path) == [(1, 3)]
 
+    def test_header_after_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\nessay_id,score\n1,3\n")
+        assert read_predictions(path) == [(1, 3)]
+
     def test_integral_floats_accepted(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,3.0\n")

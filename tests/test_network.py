@@ -18,6 +18,7 @@ from oracles import (
     conv_relu_oracle,
     gru_step_scalar,
     maxpool_backward_loop,
+    maxpool_batch_loop,
     maxpool_oracle,
 )
 from synthdata import tiny_model
@@ -116,19 +117,55 @@ class TestMaxpool:
         with pytest.raises(DomainError):
             maxpool(np.ones((1, 3)), 0, 1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool, stride, width",
+                             [(2, 2, 17), (3, 1, 17), (4, 2, 17), (2, 5, 17),
+                              (1, 3, 17), (7, 3, 4)])
+    def test_forward_matches_per_window_argmax(self, pool, stride, width, dtype):
+        rng = np.random.default_rng(pool * 10 + stride)
+        batch, filters = 9, 5
+        # Small integers make exact ties common.
+        fm = rng.integers(-2, 3, size=(batch, width, filters)).astype(dtype)
+        fm[2, 1, 0] = np.nan
+        fm[2, width - 1, 1] = np.nan
+        fm[3, :2, 1] = np.inf
+        fm[4, :, 2] = -np.inf
+        fm[4, ::2, 3] = np.nan
+        fm[8, :, 3] = np.where(np.arange(width) % 2, 0.0, -0.0)
+        valid = np.ones((batch, width), dtype=bool)
+        valid[1, width // 2:] = False
+        valid[4, 1] = False
+        valid[6] = False
+        valid[7, ::3] = False
+        pooled, offset, pooled_valid = _maxpool_batch(fm, valid, pool, stride)
+        want_pooled, want_source, want_valid = maxpool_batch_loop(
+            fm, valid, pool, stride)
+        assert pooled.dtype == want_pooled.dtype
+        bits = np.dtype(f"u{pooled.itemsize}")
+        np.testing.assert_array_equal(pooled.view(bits), want_pooled.view(bits))
+        np.testing.assert_array_equal(pooled_valid, want_valid)
+        # A window starting past the input has no argmax position.
+        starts = stride * np.arange(offset.shape[1])
+        inside = starts < width
+        assert not pooled_valid[:, ~inside].any()
+        np.testing.assert_array_equal((offset + starts[:, None])[:, inside],
+                                      want_source[:, inside])
+
     @pytest.mark.parametrize("pool, stride", [(2, 2), (3, 1), (4, 2), (2, 5)])
     def test_backward_scatter_matches_per_window_loop(self, pool, stride):
         rng = np.random.default_rng(pool * 10 + stride)
-        batch, width, filters = 37, 17, 5   # more than one block of rows
+        batch, width, filters = 37, 17, 5
         fm = rng.normal(size=(batch, width, filters)).astype(np.float32)
         valid = np.ones((batch, width), dtype=bool)
         valid[1, 9:] = False
         valid[20, :] = False
         valid[20, 3] = True
-        pooled, source, pooled_valid = _maxpool_batch(fm, valid, pool, stride)
+        pooled, offset, pooled_valid = _maxpool_batch(fm, valid, pool, stride)
+        source = offset + stride * np.arange(offset.shape[1])[:, None]
         d_pooled = rng.normal(size=pooled.shape).astype(np.float32)
         d_pooled[0, 0, :2] = -0.0
-        got = _maxpool_batch_backward(d_pooled, source, pooled_valid, width)
+        got = _maxpool_batch_backward(d_pooled, offset, pooled_valid, width,
+                                      pool, stride)
         want = maxpool_backward_loop(d_pooled, source, pooled_valid, width)
         assert got.dtype == want.dtype and got.shape == want.shape
         # Bit patterns, so signed zeros count too.
