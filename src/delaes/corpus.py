@@ -7,6 +7,7 @@ and rescaled to the original integer range for evaluation.
 """
 from __future__ import annotations
 
+import codecs
 import math
 import re
 from collections import Counter
@@ -231,8 +232,45 @@ def text_lines(path, encoding: str = "utf8") -> Iterator[tuple[int, str]]:
                 line = raw.rstrip("\n")
                 if line and not line.isspace():
                     yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"{path}: cannot decode input as {codec}: {exc}") from None
+        except UnicodeDecodeError:
+            raise EncodingError(_decode_failure(path, codec)) from None
+
+
+def _line_breaks(data: bytes) -> int:
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _decode_failure(path, codec: str) -> str:
+    """Name the physical line and file offset of the first byte of ``path``
+    that ``codec`` cannot decode.
+
+    The text reader only knows an offset inside its decoding chunk, so the
+    file is decoded again as bytes, chunk by chunk, counting ``\\n``,
+    ``\\r\\n`` and ``\\r`` line endings on the way.
+    """
+    decoder = codecs.getincrementaldecoder(codec)()
+    start, breaks, last = 0, 0, b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1 << 16)
+            pending = decoder.getstate()[0]
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # The decoder reports positions in its pending bytes plus
+                # this chunk; pending bytes open a multi-byte sequence, so
+                # they hold no line ending.
+                offset = start - len(pending) + exc.start
+                head = last + chunk[:max(exc.start - len(pending), 0)]
+                line = 1 + breaks + _line_breaks(head) - _line_breaks(last)
+                return (f"{path}:{line}: cannot decode byte "
+                        f"0x{exc.object[exc.start]:02x} at file offset {offset} "
+                        f"as {codec} ({exc.reason})")
+            if not chunk:
+                return f"{path}: cannot decode input as {codec}"
+            breaks += _line_breaks(last + chunk) - _line_breaks(last)
+            start += len(chunk)
+            last = chunk[-1:]
 
 
 class TsvRow:

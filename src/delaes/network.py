@@ -47,15 +47,17 @@ _GATE_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h")
 # because products of normal operands still land in the subnormal range.
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, dtype-preserving.
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as ``0.5 + 0.5 * tanh(x / 2)``, dtype-preserving.
 
-    exp is only ever taken of non-positive values, so no overflow; the two
-    branches are the algebraically matched forms 1/(1+e^-x) and e^x/(1+e^x).
+    tanh never overflows, so one branch serves every input.  The result lies
+    in [0, 1], not strictly inside it: it rounds to exactly 1 from about 17
+    in float32 (37 in float64) and to exactly 0 from about -18 to -20
+    (-38), depending on the platform's tanh.  Pass ``out`` (which may be
+    ``x`` itself) to compute in place.
     """
-    x = np.asarray(x)
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    half = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    return np.add(np.multiply(half, 0.5, out=out), 0.5, out=out)
 
 
 @dataclass
@@ -187,7 +189,7 @@ def conv1d_forward(matrix: np.ndarray, weights: np.ndarray,
     assert m >= weights.shape[1] // d, \
         "convolution input narrower than window: upstream padding bug"
     emb = np.ascontiguousarray(matrix.T)[None, :, :]
-    pre, _ = _conv_pre_batch(emb, weights, bias, np.ones((1, m), dtype=bool))
+    [(pre, _)] = _conv_pre_batch(emb, [weights], [bias], np.ones((1, m), dtype=bool))
     return np.maximum(pre[0], 0).T
 
 
@@ -212,9 +214,9 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray,
     ``p`` maps the gate names ``w_z``, ``w_r``, ``w_h`` (hidden, inputs) and
     ``u_z``, ``u_r``, ``u_h`` (hidden, hidden) to one direction's matrices.
     """
-    *_, h = _gru_cell(np.asarray(x_t)[None], np.asarray(h_prev)[None],
-                      *(p[name] for name in _GATE_NAMES))
-    return h[0]
+    w_x, u_zr, u_h = _fused_gates(p)
+    gates = np.asarray(x_t)[None] @ w_x
+    return _gru_cell(gates, np.asarray(h_prev)[None], u_zr, u_h)[0]
 
 
 def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
@@ -247,7 +249,10 @@ def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
 
 def forward(essay_indices, params: ModelParameters,
             dropout_rng: np.random.Generator | None = None) -> float:
-    """Score one essay, returning a normalized prediction strictly in (0, 1).
+    """Score one essay, returning a normalized prediction in [0, 1].
+
+    The prediction is :func:`sigmoid` of a logit, so it is strictly inside
+    (0, 1) unless the logit is large enough for sigmoid to round to 0 or 1.
 
     Pass a seeded generator to enable training-mode dropout; leave it None
     for deterministic inference.
@@ -284,44 +289,83 @@ def make_drop_mask(rng: np.random.Generator, shape: tuple[int, ...],
 # Batched internals: each layer's forward and, beside it, its reverse mode
 # ---------------------------------------------------------------------------
 
-def _conv_pre_batch(emb: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                    mask: np.ndarray):
-    """Pre-activations (B, P, F) and validity of each window position.
+def _stack_conv_weights(weights: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """Every channel's (F, k·d) weights as one (d, Σk·F) matrix.
 
-    A position is valid only when every token in its window is real, so
+    Columns run channel by channel, then window offset ``j``, then filter:
+    channel ``c``'s offset-``j`` block is ``weights[c][:, j*d:(j+1)*d].T``.
+    """
+    return np.concatenate([w.reshape(w.shape[0], -1, d).transpose(2, 1, 0)
+                           .reshape(d, -1) for w in weights], axis=1)
+
+
+def _conv_channel_columns(weights: Sequence[np.ndarray], d: int):
+    """Yield each channel's filters ``f``, window ``k`` and first stacked column."""
+    col = 0
+    for w in weights:
+        f, k = w.shape[0], w.shape[1] // d
+        yield f, k, col
+        col += k * f
+
+
+def _conv_pre_batch(emb: np.ndarray, weights: Sequence[np.ndarray],
+                    biases: Sequence[np.ndarray], mask: np.ndarray):
+    """Pre-activations (B, P, F) and window validity (B, P) of every channel.
+
+    One GEMM of the flattened (B·L, d) embeddings against
+    :func:`_stack_conv_weights` gives each token's product with every
+    offset's weight slice; a channel's output at position ``p`` then sums its
+    offset-``j`` columns at token ``p + j``, one shifted add per offset.  A
+    position is valid only when every token in its window is real, so
     padding never leaks into downstream layers.
     """
     b, length, d = emb.shape
-    k = weights.shape[1] // d
-    assert length >= k, "convolution input narrower than window: upstream padding bug"
-    p = length - k + 1
-    pre = np.zeros((b, p, weights.shape[0]), dtype=emb.dtype)
-    pre += bias
-    for j in range(k):
-        pre += emb[:, j:j + p, :] @ weights[:, j * d:(j + 1) * d].T
-    windows = np.lib.stride_tricks.sliding_window_view(mask, k, axis=1)
-    return pre, windows.all(axis=2)
+    products = (emb.reshape(-1, d) @ _stack_conv_weights(weights, d)
+                ).reshape(b, length, -1)
+    out = []
+    for (f, k, col), bias in zip(_conv_channel_columns(weights, d), biases):
+        assert length >= k, "convolution input narrower than window: upstream padding bug"
+        p = length - k + 1
+        pre = products[:, :p, col:col + f] + bias
+        for j in range(1, k):
+            pre += products[:, j:j + p, col + j * f:col + (j + 1) * f]
+        windows = np.lib.stride_tricks.sliding_window_view(mask, k, axis=1)
+        out.append((pre, windows.all(axis=2)))
+    return out
 
 
-def _conv_batch_backward(emb: np.ndarray, d_pre: np.ndarray,
-                         weights: np.ndarray, d_emb: np.ndarray):
-    """Weight and bias gradients of :func:`_conv_pre_batch` for pre-activation
-    gradients ``d_pre`` (B, P, F); adds the input gradient into ``d_emb``."""
-    d = emb.shape[2]
-    p = d_pre.shape[1]
-    g_w = np.zeros_like(weights)
-    d_pre_flat = d_pre.reshape(-1, d_pre.shape[2])
-    for j in range(weights.shape[1] // d):
-        window = np.ascontiguousarray(emb[:, j:j + p, :]).reshape(-1, d)
-        g_w[:, j * d:(j + 1) * d] = d_pre_flat.T @ window
-        d_emb[:, j:j + p, :] += d_pre @ weights[:, j * d:(j + 1) * d]
-    return g_w, d_pre.sum(axis=(0, 1))
+def _conv_batch_backward(emb: np.ndarray, d_pres: Sequence[np.ndarray],
+                         weights: Sequence[np.ndarray]):
+    """Gradients of :func:`_conv_pre_batch` for every channel's pre-activation
+    gradient (B, P, F): a ``(weights, bias)`` gradient pair per channel and
+    the input gradient (B, L, d).
+
+    The shifted-gradient matrix ``D`` (B·L, Σk·F) holds channel ``c``'s
+    gradient at position ``p`` in row ``p + j`` of its offset-``j`` columns,
+    so the stacked weight gradient is ``Eᵀ·D`` and the input gradient is
+    ``D·W_allᵀ``: two GEMMs for all channels.
+    """
+    b, length, d = emb.shape
+    stacked = _stack_conv_weights(weights, d)
+    shifted = np.zeros((b, length, stacked.shape[1]), dtype=emb.dtype)
+    for (f, k, col), d_pre in zip(_conv_channel_columns(weights, d), d_pres):
+        p = d_pre.shape[1]
+        for j in range(k):
+            shifted[:, j:j + p, col + j * f:col + (j + 1) * f] = d_pre
+    shifted = shifted.reshape(-1, stacked.shape[1])
+    g_stacked = emb.reshape(-1, d).T @ shifted
+    d_emb = (shifted @ stacked.T).reshape(b, length, d)
+    grads = [(g_stacked[:, col:col + k * f].reshape(d, k, f).transpose(2, 1, 0)
+              .reshape(f, k * d), d_pre.sum(axis=(0, 1)))
+             for (f, k, col), d_pre in zip(_conv_channel_columns(weights, d), d_pres)]
+    return grads, d_emb
 
 
 def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
     """Masked temporal max-pooling.
 
-    Returns pooled values (B, T, F), each window's argmax offset (B, T, F)
+    Returns pooled values (B, T, F), each window's argmax offset (B, T, F;
+    the smallest unsigned integer type that holds ``pool - 1``)
     and pooled validity (B, T); windows with no valid position pool to zero
     and are marked invalid.  One pass per offset inside the window: an offset
     replaces the running best where it is greater or NaN and the best is not
@@ -336,7 +380,7 @@ def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
     np.copyto(masked[:, :width], fm, where=valid[:, :, None])
     valid_span = np.pad(valid, ((0, 0), (0, span - width)))
     pooled = masked[:, :last:stride].copy()
-    offset = np.zeros((b, t, f), dtype=np.intp)
+    offset = np.zeros((b, t, f), dtype=np.min_scalar_type(pool - 1))
     pooled_valid = valid_span[:, :last:stride].copy()
     for o in range(1, pool):
         cand = masked[:, o:o + last:stride]
@@ -366,17 +410,45 @@ def _maxpool_batch_backward(d_pooled: np.ndarray, offset: np.ndarray,
     return d_fm[:, :width]
 
 
-def _gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h):
-    """One recurrence step on row-stacked inputs (B, I) and states (B, H);
-    returns z, r, c and the new state h'.
+def _fused_gates(gates: Mapping[str, np.ndarray], prefix: str = ""):
+    """One direction's matrices in the layout :func:`_gru_cell` reads.
+
+    Returns ``W_x = [w_z; w_r; w_h]ᵀ`` (I, 3H), ``U_zr = [u_z; u_r]ᵀ`` (H, 2H)
+    and ``u_h``, reading ``gates[prefix + name]`` for each gate name.
+    """
+    w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
+    return np.concatenate([w_z, w_r, w_h]).T, np.concatenate([u_z, u_r]).T, u_h
+
+
+def _gru_cell(gates: np.ndarray, h: np.ndarray, u_zr: np.ndarray,
+              u_h: np.ndarray) -> np.ndarray:
+    """One recurrence step on row-stacked states (B, H); returns the new state.
 
     z = sigmoid(w_z x + u_z h);  r = sigmoid(w_r x + u_r h)
     c = tanh(w_h x + u_h (r * h));  h' = (1 - z) * h + z * c
+
+    ``gates`` (B, 3H) holds the input projections ``[w_z x | w_r x | w_h x]``
+    on entry and is overwritten with ``[z | r | c]``; ``u_zr`` and ``u_h``
+    come from :func:`_fused_gates`.
     """
-    z = sigmoid(x @ w_z.T + h @ u_z.T)
-    r = sigmoid(x @ w_r.T + h @ u_r.T)
-    c = np.tanh(x @ w_h.T + (r * h) @ u_h.T)
-    return z, r, c, (1.0 - z) * h + z * c
+    hidden = h.shape[1]
+    zr = gates[:, :2 * hidden]
+    zr += h @ u_zr
+    sigmoid(zr, out=zr)
+    z, r, c = zr[:, :hidden], zr[:, hidden:], gates[:, 2 * hidden:]
+    c += (r * h) @ u_h.T
+    np.tanh(c, out=c)
+    return (1.0 - z) * h + z * c
+
+
+def _active_spans(valid: np.ndarray) -> list[tuple[int, int]]:
+    """Per step of a (T, B) validity matrix, the row span ``[lo, hi)`` that
+    holds every valid row; ``lo == hi`` where no row is valid."""
+    rows = valid.shape[1]
+    any_valid = valid.any(axis=1)
+    lo = np.where(any_valid, valid.argmax(axis=1), 0)
+    hi = np.where(any_valid, rows - valid[:, ::-1].argmax(axis=1), 0)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _gru_scan(x: np.ndarray, valid: np.ndarray, gates: Mapping[str, np.ndarray],
@@ -388,22 +460,26 @@ def _gru_scan(x: np.ndarray, valid: np.ndarray, gates: Mapping[str, np.ndarray],
     a prefix such as ``"gru2.fw."``.  Returns stacked states and gate values;
     ``h`` has T+1 entries with the zero initial state first.  Invalid steps
     copy the previous state.
+
+    The input projections of all steps are one matmul into a (T, B, 3H)
+    buffer, which each step overwrites with its gates; ``z``, ``r`` and ``c``
+    are views of it.  Step ``t`` computes only the rows of its
+    :func:`_active_spans` span; rows outside it carry their state, and their
+    gate values are unspecified.
     """
-    w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
+    w_x, u_zr, u_h = _fused_gates(gates, prefix)
     steps, batch, _ = x.shape
-    hidden = u_z.shape[0]
-    h = np.zeros((batch, hidden), dtype=x.dtype)
-    hs = np.empty((steps + 1, batch, hidden), dtype=x.dtype)
-    zs = np.empty((steps, batch, hidden), dtype=x.dtype)
-    rs = np.empty_like(zs)
-    cs = np.empty_like(zs)
-    hs[0] = h
-    for t in range(steps):
-        z, r, c, h_new = _gru_cell(x[t], h, w_z, w_r, w_h, u_z, u_r, u_h)
-        h = np.where(valid[t][:, None], h_new, h)
-        zs[t], rs[t], cs[t] = z, r, c
-        hs[t + 1] = h
-    return {"x": x, "valid": valid, "h": hs, "z": zs, "r": rs, "c": cs}
+    hidden = u_h.shape[0]
+    buf = np.matmul(x, w_x, out=np.empty((steps, batch, 3 * hidden), dtype=x.dtype))
+    hs = np.zeros((steps + 1, batch, hidden), dtype=x.dtype)
+    for t, (lo, hi) in enumerate(_active_spans(valid)):
+        hs[t + 1] = hs[t]
+        if lo < hi:
+            h = hs[t, lo:hi]
+            h_new = _gru_cell(buf[t, lo:hi], h, u_zr, u_h)
+            hs[t + 1, lo:hi] = np.where(valid[t, lo:hi, None], h_new, h)
+    return {"x": x, "valid": valid, "h": hs, "z": buf[:, :, :hidden],
+            "r": buf[:, :, hidden:2 * hidden], "c": buf[:, :, 2 * hidden:]}
 
 
 def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
@@ -415,9 +491,11 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     :func:`_gru_scan`.  ``d_final`` is the gradient on the state after the
     last step; ``d_steps`` optionally adds per-step output gradients.
     Returns the input gradient (T, B, I) and the gate gradients under the
-    same ``prefix + name`` keys, in gate order.  The carried state gradient
-    is flushed to zero below ``finfo.tiny / finfo.eps`` after every step
-    (see the note by ``_GATE_NAMES``).
+    same ``prefix + name`` keys, in gate order.  Step ``t`` works on the
+    rows of its :func:`_active_spans` span, as the forward scan did; rows
+    outside it carry their gradient.  The carried state gradient is flushed
+    to zero below ``finfo.tiny / finfo.eps`` after every step (see the note
+    by ``_GATE_NAMES``).
     """
     w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
     x, valid = cache["x"], cache["valid"]
@@ -429,33 +507,39 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     dx = np.zeros_like(x)
     g_w_z, g_w_r, g_w_h = (np.zeros_like(w) for w in (w_z, w_r, w_h))
     g_u_z, g_u_r, g_u_h = (np.zeros_like(u) for u in (u_z, u_r, u_h))
+    spans = _active_spans(valid)
     for t in range(steps - 1, -1, -1):
         if d_steps is not None:
             dh = dh + d_steps[t]
-        m = valid[t][:, None].astype(x.dtype)
-        z, r, c, h_prev = zs[t], rs[t], cs[t], hs[t]
-        d_new = dh * m
+        lo, hi = spans[t]
+        if lo == hi:
+            continue
+        x_t, dx_t = x[t, lo:hi], dx[t, lo:hi]
+        m = valid[t, lo:hi, None].astype(x.dtype)
+        z, r, c, h_prev = zs[t, lo:hi], rs[t, lo:hi], cs[t, lo:hi], hs[t, lo:hi]
+        d_carry = dh[lo:hi]
+        d_new = d_carry * m
         dz = d_new * (c - h_prev)
         dc = d_new * z
-        dh_prev = d_new * (1.0 - z) + dh * (1.0 - m)
+        dh_prev = d_new * (1.0 - z) + d_carry * (1.0 - m)
         da_c = dc * (1.0 - c * c)
-        g_w_h += da_c.T @ x[t]
+        g_w_h += da_c.T @ x_t
         g_u_h += da_c.T @ (r * h_prev)
-        dx[t] += da_c @ w_h
+        dx_t += da_c @ w_h
         d_rh = da_c @ u_h
         dh_prev += d_rh * r
         da_r = (d_rh * h_prev) * r * (1.0 - r)
-        g_w_r += da_r.T @ x[t]
+        g_w_r += da_r.T @ x_t
         g_u_r += da_r.T @ h_prev
-        dx[t] += da_r @ w_r
+        dx_t += da_r @ w_r
         dh_prev += da_r @ u_r
         da_z = dz * z * (1.0 - z)
-        g_w_z += da_z.T @ x[t]
+        g_w_z += da_z.T @ x_t
         g_u_z += da_z.T @ h_prev
-        dx[t] += da_z @ w_z
+        dx_t += da_z @ w_z
         dh_prev += da_z @ u_z
         dh_prev[np.abs(dh_prev) < flush] = 0.0
-        dh = dh_prev
+        dh[lo:hi] = dh_prev
     grads = (g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h)
     return dx, {prefix + name: g for name, g in zip(_GATE_NAMES, grads)}
 
@@ -514,16 +598,23 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     :func:`backward_batch` reads.
 
     ``drop_mask`` is a fixed dropout realization from :func:`make_drop_mask`,
-    or None for inference.
+    or None for inference.  Internally the rows run in descending order of
+    real length (a stable sort), so each GRU step's valid rows form a short
+    leading span; the predictions come back in caller order, and the cache
+    keeps the sorted order.
     """
     cfg = params.config
     tensors = params.tensors
+    order = np.argsort(-mask.sum(axis=1), kind="stable")
+    indices, mask = indices[order], mask[order]
+    if drop_mask is not None:
+        drop_mask = drop_mask[order]
     emb = tensors["embedding"][indices]
+    convs = _conv_pre_batch(emb, [tensors[f"conv{k}.weights"] for k in cfg.windows],
+                            [tensors[f"conv{k}.bias"] for k in cfg.windows], mask)
     channels = []
     summaries = []
-    for k in cfg.windows:
-        pre, conv_valid = _conv_pre_batch(emb, tensors[f"conv{k}.weights"],
-                                          tensors[f"conv{k}.bias"], mask)
+    for k, (pre, conv_valid) in zip(cfg.windows, convs):
         fm = np.maximum(pre, 0)
         pooled, offset, pooled_valid = _maxpool_batch(
             fm, conv_valid, cfg.pool_size, cfg.pool_stride)
@@ -536,8 +627,27 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     dropped = concat * drop_mask if drop_mask is not None else concat
     logits = dropped @ tensors["dense.weights"] + tensors["dense.bias"][0]
     yhat = sigmoid(logits)
-    return yhat, {"indices": indices, "emb": emb, "channels": channels,
-                  "dropped": dropped, "drop_mask": drop_mask, "yhat": yhat}
+    caller_yhat = np.empty_like(yhat)
+    caller_yhat[order] = yhat
+    return caller_yhat, {"order": order, "indices": indices, "emb": emb,
+                         "channels": channels, "dropped": dropped,
+                         "drop_mask": drop_mask, "yhat": yhat}
+
+
+def _scatter_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray):
+    """Add each of ``values`` (N, d) into ``target`` at its row in ``rows``
+    (N,), skipping PAD rows: ``np.add.at`` without its per-element cost.
+
+    A stable sort groups each row's values and ``np.add.reduceat`` sums every
+    group.  That sum equals ``add.at``'s bit for bit while a row repeats at
+    most twice; beyond that ``reduceat`` adds the first value to the sum of
+    the rest, so the results differ at round-off.
+    """
+    real = np.flatnonzero(rows != PAD_INDEX)
+    real = real[np.argsort(rows[real], kind="stable")]
+    sorted_rows = rows[real]
+    starts = np.flatnonzero(np.diff(sorted_rows, prepend=PAD_INDEX))
+    target[sorted_rows[starts]] += np.add.reduceat(values[real], starts, axis=0)
 
 
 def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
@@ -545,44 +655,48 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
     """Exact gradients of every tensor, given the loss gradient ``d_yhat`` on
     the predictions of the :func:`forward_batch` call that built ``cache``.
 
-    Keys run dense head, per window GRU then conv, embedding.  The cache is
-    consumed; the PAD row and frozen embeddings get zero gradient.
+    ``d_yhat`` is in caller order.  Keys run dense head, per window GRU then
+    conv, embedding.  The cache is consumed; the PAD row and frozen
+    embeddings get zero gradient.
     """
     cfg = params.config
     tensors = params.tensors
     yhat = cache["yhat"]
     grads: dict[str, np.ndarray] = {}
-    d_logit = d_yhat * yhat * (1.0 - yhat)
+    d_logit = d_yhat[cache["order"]] * yhat * (1.0 - yhat)
     grads["dense.weights"] = cache["dropped"].T @ d_logit
     grads["dense.bias"] = np.array([d_logit.sum()], dtype=params.dtype)
     d_dropped = d_logit[:, None] * tensors["dense.weights"][None, :]
     drop_mask = cache["drop_mask"]
     d_concat = d_dropped * drop_mask if drop_mask is not None else d_dropped
 
-    emb = cache["emb"]
-    d_emb = np.zeros_like(emb)
     h2 = 2 * cfg.hidden_units
     channels = cache["channels"]
+    gru_grads, d_pres = [], []
     for ci, k in enumerate(cfg.windows):
         # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
         ch_cache, channels[ci] = channels[ci], None
-        d_pooled, gru_grads = _bigru_batch_backward(
+        d_pooled, g = _bigru_batch_backward(
             ch_cache.pop("bigru"), tensors, f"gru{k}.",
             d_concat[:, ci * h2:(ci + 1) * h2], cfg.summary_mode)
-        grads.update(gru_grads)
+        gru_grads.append(g)
         pre = ch_cache["pre"]
         d_fm = _maxpool_batch_backward(d_pooled, ch_cache["offset"],
                                        ch_cache["pooled_valid"], pre.shape[1],
                                        cfg.pool_size, cfg.pool_stride)
         d_pre = d_fm * (pre > 0)
         d_pre *= ch_cache["conv_valid"][:, :, None]
-        grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = _conv_batch_backward(
-            emb, d_pre, tensors[f"conv{k}.weights"], d_emb)
+        d_pres.append(d_pre)
+    emb = cache["emb"]
+    conv_grads, d_emb = _conv_batch_backward(
+        emb, d_pres, [tensors[f"conv{k}.weights"] for k in cfg.windows])
+    for k, g, (g_w, g_b) in zip(cfg.windows, gru_grads, conv_grads):
+        grads.update(g)
+        grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = g_w, g_b
 
     g_embedding = np.zeros_like(tensors["embedding"])
     if params.embedding_trainable:
-        np.add.at(g_embedding, cache["indices"].ravel(),
-                  d_emb.reshape(-1, emb.shape[2]))
-        g_embedding[PAD_INDEX] = 0.0
+        _scatter_rows(g_embedding, cache["indices"].ravel(),
+                      d_emb.reshape(-1, emb.shape[2]))
     grads["embedding"] = g_embedding
     return grads

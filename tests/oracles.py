@@ -166,3 +166,57 @@ def maxpool_backward_loop(d_pooled, source, pooled_valid, width):
         vals = d_pooled[:, j, :] * pooled_valid[:, j][:, None]
         np.add.at(d_fm, (rows, source[:, j, :], cols), vals)
     return d_fm
+
+
+def gru_scan_full(x, valid, gates):
+    """Full-width GRU scan over time-major input (T, B, I), one step at a time.
+
+    Every row computes its gates at every step, and an invalid step carries
+    the row's previous state.  Returns a cache with the library scan's keys
+    (``x``, ``valid``, ``h``, ``z``, ``r``, ``c``), every gate value defined,
+    for :func:`gru_scan_backward_unflushed`.
+    """
+    def sig(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    steps, batch, _ = x.shape
+    hidden = gates["u_z"].shape[0]
+    hs = np.zeros((steps + 1, batch, hidden), dtype=x.dtype)
+    zs, rs, cs = (np.zeros((steps, batch, hidden), dtype=x.dtype) for _ in range(3))
+    for t in range(steps):
+        h = hs[t]
+        z = sig(x[t] @ gates["w_z"].T + h @ gates["u_z"].T)
+        r = sig(x[t] @ gates["w_r"].T + h @ gates["u_r"].T)
+        c = np.tanh(x[t] @ gates["w_h"].T + (r * h) @ gates["u_h"].T)
+        zs[t], rs[t], cs[t] = z, r, c
+        hs[t + 1] = np.where(valid[t][:, None], (1.0 - z) * h + z * c, h)
+    return {"x": x, "valid": valid, "h": hs, "z": zs, "r": rs, "c": cs}
+
+
+def conv_batch_loop(emb, weights, bias):
+    """Pre-activations (B, P, F) of one channel: one product per window offset.
+
+    ``weights`` is (F, k·d); offset ``j`` multiplies its d-column slice with
+    the embeddings shifted by ``j``.
+    """
+    batch, length, dim = emb.shape
+    k = weights.shape[1] // dim
+    p = length - k + 1
+    pre = np.zeros((batch, p, weights.shape[0]), dtype=emb.dtype) + bias
+    for j in range(k):
+        pre += emb[:, j:j + p, :] @ weights[:, j * dim:(j + 1) * dim].T
+    return pre
+
+
+def conv_batch_backward_loop(emb, d_pre, weights):
+    """Weight, bias and input gradients of :func:`conv_batch_loop` for the
+    pre-activation gradient ``d_pre``, one offset at a time."""
+    dim = emb.shape[2]
+    p = d_pre.shape[1]
+    g_w = np.zeros_like(weights)
+    d_emb = np.zeros_like(emb)
+    for j in range(weights.shape[1] // dim):
+        window = emb[:, j:j + p, :].reshape(-1, dim)
+        g_w[:, j * dim:(j + 1) * dim] = d_pre.reshape(-1, d_pre.shape[2]).T @ window
+        d_emb[:, j:j + p, :] += d_pre @ weights[:, j * dim:(j + 1) * dim]
+    return g_w, d_pre.sum(axis=(0, 1)), d_emb

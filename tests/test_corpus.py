@@ -175,6 +175,29 @@ class TestLoadDataset:
         loaded = load_dataset(path, 1, ScoreRange(1, 2, 4), encoding="latin1")
         assert "café" in loaded.essays[0].tokens
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_undecodable_byte_named_by_line_and_file_offset(self, tmp_path, ending):
+        # Far past the text reader's 8 KB decoding chunk, after rows with
+        # mixed line endings and a blank line.
+        rows = [TSV_HEADER, ""] + [f"{i}\t1\tessay number {i} here\t3"
+                                   for i in range(1, 1500)]
+        head = ("\r\n".join(rows[:3]) + "\r" + ending.join(rows[3:]) + ending).encode()
+        path = tmp_path / "d.tsv"
+        path.write_bytes(head + b"1500\t1\tcaf\xe9\t3" + ending.encode())
+        offset = len(head) + len(b"1500\t1\tcaf")
+        assert offset > 16384
+        with pytest.raises(EncodingError) as err:
+            load_dataset(path, 1, ScoreRange(1, 2, 4), encoding="utf8")
+        assert f"{path}:1502:" in str(err.value)
+        assert f"byte 0xe9 at file offset {offset}" in str(err.value)
+
+    def test_truncated_sequence_at_end_named(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(TSV_HEADER.encode() + b"\n1\t1\tcaf\xc3")
+        with pytest.raises(EncodingError, match=r":2: .* file offset "
+                           + str(len(TSV_HEADER) + 8)):
+            load_dataset(path, 1, ScoreRange(1, 2, 4), encoding="utf8")
+
     @pytest.mark.parametrize("char", ["\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
     def test_control_character_inside_essay_stays_in_its_row(self, tmp_path, char):
         # 0x85 is the Windows-1252 ellipsis of the latin-1 ASAP file.

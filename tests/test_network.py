@@ -12,10 +12,26 @@ from delaes.network import (
     sigmoid,
     summary_width,
 )
-from delaes.network import _maxpool_batch, _maxpool_batch_backward
+from delaes.network import (
+    _conv_batch_backward,
+    _conv_pre_batch,
+    _gru_scan,
+    _gru_scan_backward,
+    _maxpool_batch,
+    _maxpool_batch_backward,
+    _scatter_rows,
+    backward_batch,
+    forward_batch,
+    pad_rows,
+)
+from delaes.corpus import PAD_INDEX
 
 from oracles import (
+    conv_batch_backward_loop,
+    conv_batch_loop,
     conv_relu_oracle,
+    gru_scan_backward_unflushed,
+    gru_scan_full,
     gru_step_scalar,
     maxpool_backward_loop,
     maxpool_batch_loop,
@@ -331,3 +347,152 @@ class TestForward:
         _, _, params = tiny_model()
         with pytest.raises(UsageError, match="vocabulary"):
             forward([2, 3, params.vocab_size], params)
+
+
+class TestActiveSpanScan:
+    """Scans that compute only each step's span of valid rows, against
+    full-width references, on unsorted rows with holes, an all-invalid step
+    and an all-invalid row."""
+
+    STEPS, BATCH, INPUTS, HIDDEN = 9, 6, 3, 4
+
+    def setup(self):
+        rng = np.random.default_rng(31)
+        gates = random_direction(rng, self.HIDDEN, self.INPUTS)
+        x = rng.normal(size=(self.STEPS, self.BATCH, self.INPUTS))
+        valid = rng.random((self.STEPS, self.BATCH)) < 0.6
+        valid[:, 0] = True           # a full-length row first
+        valid[4] = False             # no row valid at step 4
+        valid[:, 2] = False          # row 2 never valid
+        valid[6, 5] = valid[1, 5] = True
+        return rng, gates, x, valid
+
+    def test_forward_matches_per_step_loop(self):
+        _, gates, x, valid = self.setup()
+        got = _gru_scan(x, valid, gates)
+        want = gru_scan_full(x, valid, gates)
+        np.testing.assert_allclose(got["h"], want["h"], rtol=1e-12, atol=1e-15)
+        # Gate values are defined wherever the step is valid.
+        for name in ("z", "r", "c"):
+            np.testing.assert_allclose(got[name][valid], want[name][valid],
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
+        np.testing.assert_array_equal(got["h"][:, 2], 0.0)
+
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_backward_matches_full_width_reference(self, per_step):
+        rng, gates, x, valid = self.setup()
+        d_final = rng.normal(size=(self.BATCH, self.HIDDEN))
+        d_steps = rng.normal(size=(self.STEPS, self.BATCH, self.HIDDEN)) if per_step else None
+        dx, grads = _gru_scan_backward(_gru_scan(x, valid, gates), gates,
+                                       d_final, d_steps)
+        want_dx, want_grads = gru_scan_backward_unflushed(
+            gru_scan_full(x, valid, gates), gates, d_final, d_steps)
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-15)
+        assert list(grads) == list(GATES)
+        for name in GATES:
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-12,
+                                       atol=1e-15, err_msg=name)
+        np.testing.assert_array_equal(dx[:, 2], 0.0)
+        np.testing.assert_array_equal(dx[4], 0.0)
+
+
+class TestStackedConv:
+    """All channels as one stacked GEMM against a per-offset loop per channel."""
+
+    WINDOWS, DIM, FILTERS = (1, 2, 4), 5, 3
+
+    def test_forward_and_gradients_match_per_offset_loop(self):
+        rng = np.random.default_rng(41)
+        indices, mask = pad_rows([[3, 4, 5, 6, 7, 8, 9], [3, 4], [5, 6, 7, 8]], 4)
+        emb = rng.normal(size=(*indices.shape, self.DIM))
+        emb[~mask] = 0.0
+        weights = [rng.normal(size=(self.FILTERS, k * self.DIM)) for k in self.WINDOWS]
+        biases = [rng.normal(size=self.FILTERS) for _ in self.WINDOWS]
+        convs = _conv_pre_batch(emb, weights, biases, mask)
+        d_pres = []
+        for k, w, b, (pre, valid) in zip(self.WINDOWS, weights, biases, convs):
+            np.testing.assert_allclose(pre, conv_batch_loop(emb, w, b), rtol=1e-12)
+            want_valid = np.array([[mask[i, p:p + k].all() for p in range(pre.shape[1])]
+                                   for i in range(len(mask))])
+            np.testing.assert_array_equal(valid, want_valid)
+            d_pres.append(rng.normal(size=pre.shape) * valid[:, :, None])
+        grads, d_emb = _conv_batch_backward(emb, d_pres, weights)
+        want_d_emb = np.zeros_like(emb)
+        for w, d_pre, (g_w, g_b) in zip(weights, d_pres, grads):
+            want_w, want_b, d_emb_k = conv_batch_backward_loop(emb, d_pre, w)
+            np.testing.assert_allclose(g_w, want_w, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(g_b, want_b, rtol=1e-12)
+            want_d_emb += d_emb_k
+        np.testing.assert_allclose(d_emb, want_d_emb, rtol=1e-12, atol=1e-14)
+
+
+class TestRowOrder:
+    def test_permuting_rows_permutes_predictions_only(self):
+        _, vocab, params = tiny_model(dropout=0.4)
+        rng = np.random.default_rng(5)
+        # Lengths 6, 3, 9, 3, 1, 6: ties, and a row shorter than the widest window.
+        rows = [[int(t) for t in rng.integers(2, vocab.size, n)]
+                for n in (6, 3, 9, 3, 1, 6)]
+        indices, mask = pad_rows(rows, 3)
+        targets = rng.uniform(0, 1, len(rows))
+        drop_mask = make_drop_mask(rng, (len(rows), summary_width(params.config)),
+                                   0.4, np.float64)
+
+        def run(order):
+            yhat, cache = forward_batch(indices[order], mask[order], params,
+                                        drop_mask[order])
+            d_yhat = (2.0 / len(order)) * (yhat - targets[order])
+            loss = float(np.mean((targets[order] - yhat) ** 2))
+            return yhat, loss, backward_batch(cache, params, d_yhat)
+
+        yhat, loss, grads = run(np.arange(len(rows)))
+        order = np.array([3, 0, 5, 1, 4, 2])
+        yhat_p, loss_p, grads_p = run(order)
+        np.testing.assert_allclose(yhat_p, yhat[order], rtol=1e-12)
+        assert loss_p == pytest.approx(loss, rel=1e-12)
+        assert list(grads_p) == list(grads)
+        for name in grads:
+            np.testing.assert_allclose(grads_p[name], grads[name], rtol=1e-12,
+                                       atol=1e-15, err_msg=name)
+
+
+class TestEmbeddingScatter:
+    @staticmethod
+    def scatter_both(rows, values):
+        got = np.zeros((12, values.shape[1]), dtype=values.dtype)
+        _scatter_rows(got, rows, values)
+        want = np.zeros_like(got)
+        np.add.at(want, rows, values)
+        want[PAD_INDEX] = 0.0
+        return got, want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_add_at_while_rows_repeat_at_most_twice(self, dtype):
+        rng = np.random.default_rng(17)
+        rows = np.array([0, 5, 2, 0, 9, 5, 3, 11, 2, 3, 0, 7])
+        values = rng.normal(size=(rows.size, 7)).astype(dtype)
+        values[::5] = -0.0
+        values[rows == 3] = -0.0             # a row whose sum is a signed zero
+        got, want = self.scatter_both(rows, values)
+        bits = np.dtype(f"u{want.itemsize}")
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_add_at_within_summation_bound(self, dtype):
+        rng = np.random.default_rng(18)
+        rows = rng.integers(0, 9, 400)       # up to ~60 repeats, and PAD
+        values = rng.normal(size=(rows.size, 7)).astype(dtype)
+        got, want = self.scatter_both(rows, values)
+        # Any two orders of summing n terms lie within (n - 1)·eps·Σ|v| of
+        # the exact sum.
+        counts = np.bincount(rows, minlength=12)[:, None]
+        magnitude = np.zeros((12, 7))
+        np.add.at(magnitude, rows, np.abs(values).astype(np.float64))
+        bound = 2 * np.maximum(counts - 1, 0) * np.finfo(dtype).eps * magnitude
+        assert (np.abs(got.astype(np.float64) - want) <= bound).all()
+        np.testing.assert_array_equal(got[PAD_INDEX], 0.0)
+
+    def test_all_pad_leaves_zeros(self):
+        got = np.zeros((3, 2))
+        _scatter_rows(got, np.zeros(4, dtype=np.int64), np.ones((4, 2)))
+        np.testing.assert_array_equal(got, 0.0)
