@@ -188,8 +188,8 @@ def conv1d_forward(matrix: np.ndarray, weights: np.ndarray,
                          f"of the embedding dimension {d}")
     assert m >= weights.shape[1] // d, \
         "convolution input narrower than window: upstream padding bug"
-    emb = np.ascontiguousarray(matrix.T)[None, :, :]
-    [(pre, _)] = _conv_pre_batch(emb, [weights], [bias], np.ones((1, m), dtype=bool))
+    [(pre, _)] = _conv_pre_batch(matrix.T, np.arange(m)[None], [weights], [bias],
+                                 np.ones((1, m), dtype=bool))
     return np.maximum(pre[0], 0).T
 
 
@@ -308,57 +308,98 @@ def _conv_channel_columns(weights: Sequence[np.ndarray], d: int):
         col += k * f
 
 
-def _conv_pre_batch(emb: np.ndarray, weights: Sequence[np.ndarray],
-                    biases: Sequence[np.ndarray], mask: np.ndarray):
-    """Pre-activations (B, P, F) and window validity (B, P) of every channel.
+#: Most bytes of conv products, or of shifted conv gradients, held at once:
+#: a few batch rows at paper shapes, the whole batch at small ones.  A block
+#: buffer this size is reused from the allocator's heap instead of being
+#: mapped and page-faulted afresh on every call.
+_CONV_BLOCK_BYTES = 8 << 20
 
-    One GEMM of the flattened (B·L, d) embeddings against
-    :func:`_stack_conv_weights` gives each token's product with every
-    offset's weight slice; a channel's output at position ``p`` then sums its
-    offset-``j`` columns at token ``p + j``, one shifted add per offset.  A
+
+def _row_blocks(rows: int, row_bytes: int):
+    """Slices of at most :data:`_CONV_BLOCK_BYTES` worth of batch rows (at
+    least one row each) that cover ``range(rows)`` in order."""
+    step = max(1, _CONV_BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
+                    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+                    mask: np.ndarray):
+    """Pre-activations (B, P, F) and window validity (B, P) of every channel
+    over the rows of ``table`` (V, d) that ``indices`` (B, L) picks.
+
+    A GEMM of the gathered embeddings against :func:`_stack_conv_weights`
+    gives each token's product with every offset's weight slice; a channel's
+    output at position ``p`` then sums its offset-``j`` columns at token
+    ``p + j``, one shifted add per offset.  Gather and GEMM run over
+    :func:`_row_blocks` of the batch into one reused buffer, so neither the
+    (B, L, d) embeddings nor the (B, L, Σk·F) products exist at once.  A
     position is valid only when every token in its window is real, so
     padding never leaks into downstream layers.
     """
-    b, length, d = emb.shape
-    products = (emb.reshape(-1, d) @ _stack_conv_weights(weights, d)
-                ).reshape(b, length, -1)
-    out = []
-    for (f, k, col), bias in zip(_conv_channel_columns(weights, d), biases):
+    b, length = indices.shape
+    d = table.shape[1]
+    stacked = _stack_conv_weights(weights, d)
+    columns = list(_conv_channel_columns(weights, d))
+    for _, k, _ in columns:
         assert length >= k, "convolution input narrower than window: upstream padding bug"
-        p = length - k + 1
-        pre = products[:, :p, col:col + f] + bias
-        for j in range(1, k):
-            pre += products[:, j:j + p, col + j * f:col + (j + 1) * f]
-        windows = np.lib.stride_tricks.sliding_window_view(mask, k, axis=1)
-        out.append((pre, windows.all(axis=2)))
-    return out
+    pres = [np.empty((b, length - k + 1, f), dtype=table.dtype) for f, k, _ in columns]
+    buf = None
+    for rows in _row_blocks(b, length * stacked.shape[1] * table.itemsize):
+        n = rows.stop - rows.start
+        if buf is None:
+            buf = np.empty((n, length, stacked.shape[1]), dtype=table.dtype)
+        products = buf[:n]
+        np.matmul(table[indices[rows]].reshape(-1, d), stacked,
+                  out=products.reshape(-1, stacked.shape[1]))
+        for (f, k, col), bias, pre in zip(columns, biases, pres):
+            p = pre.shape[1]
+            block = np.add(products[:, :p, col:col + f], bias, out=pre[rows])
+            for j in range(1, k):
+                block += products[:, j:j + p, col + j * f:col + (j + 1) * f]
+    return [(pre, np.lib.stride_tricks.sliding_window_view(mask, k, axis=1).all(axis=2))
+            for pre, (_, k, _) in zip(pres, columns)]
 
 
-def _conv_batch_backward(emb: np.ndarray, d_pres: Sequence[np.ndarray],
-                         weights: Sequence[np.ndarray]):
+def _conv_batch_backward(table: np.ndarray, indices: np.ndarray,
+                         d_pres: Sequence[np.ndarray], weights: Sequence[np.ndarray],
+                         g_table: np.ndarray | None = None):
     """Gradients of :func:`_conv_pre_batch` for every channel's pre-activation
-    gradient (B, P, F): a ``(weights, bias)`` gradient pair per channel and
-    the input gradient (B, L, d).
+    gradient (B, P, F): a ``(weights, bias)`` gradient pair per channel.
+    Given ``g_table`` (V, d), each gathered row's input gradient is also
+    added into it at that row's index (PAD skipped, see :func:`_scatter_rows`).
 
     The shifted-gradient matrix ``D`` (B·L, Σk·F) holds channel ``c``'s
     gradient at position ``p`` in row ``p + j`` of its offset-``j`` columns,
     so the stacked weight gradient is ``Eᵀ·D`` and the input gradient is
-    ``D·W_allᵀ``: two GEMMs for all channels.
+    ``D·W_allᵀ``.  ``D`` is built one :func:`_row_blocks` block at a time in
+    a reused buffer: per block, the weight-gradient GEMM and, for
+    ``g_table``, the input-gradient GEMM and its scatter.
     """
-    b, length, d = emb.shape
+    b, length = indices.shape
+    d = table.shape[1]
     stacked = _stack_conv_weights(weights, d)
-    shifted = np.zeros((b, length, stacked.shape[1]), dtype=emb.dtype)
-    for (f, k, col), d_pre in zip(_conv_channel_columns(weights, d), d_pres):
-        p = d_pre.shape[1]
-        for j in range(k):
-            shifted[:, j:j + p, col + j * f:col + (j + 1) * f] = d_pre
-    shifted = shifted.reshape(-1, stacked.shape[1])
-    g_stacked = emb.reshape(-1, d).T @ shifted
-    d_emb = (shifted @ stacked.T).reshape(b, length, d)
-    grads = [(g_stacked[:, col:col + k * f].reshape(d, k, f).transpose(2, 1, 0)
-              .reshape(f, k * d), d_pre.sum(axis=(0, 1)))
-             for (f, k, col), d_pre in zip(_conv_channel_columns(weights, d), d_pres)]
-    return grads, d_emb
+    columns = list(_conv_channel_columns(weights, d))
+    g_stacked = np.zeros((d, stacked.shape[1]), dtype=table.dtype)
+    buf = None
+    for rows in _row_blocks(b, length * stacked.shape[1] * table.itemsize):
+        n = rows.stop - rows.start
+        if buf is None:
+            # Blocks write only positions j..j+p of offset j's columns, so
+            # the rest stays zero from here on.
+            buf = np.zeros((n, length, stacked.shape[1]), dtype=table.dtype)
+        shifted = buf[:n]
+        for (f, k, col), d_pre in zip(columns, d_pres):
+            p = d_pre.shape[1]
+            for j in range(k):
+                shifted[:, j:j + p, col + j * f:col + (j + 1) * f] = d_pre[rows]
+        flat = shifted.reshape(-1, stacked.shape[1])
+        g_stacked += table[indices[rows]].reshape(-1, d).T @ flat
+        if g_table is not None:
+            _scatter_rows(g_table, indices[rows].ravel(), flat @ stacked.T)
+    return [(g_stacked[:, col:col + k * f].reshape(d, k, f).transpose(2, 1, 0)
+             .reshape(f, k * d), d_pre.sum(axis=(0, 1)))
+            for (f, k, col), d_pre in zip(columns, d_pres)]
 
 
 def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
@@ -609,8 +650,8 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     indices, mask = indices[order], mask[order]
     if drop_mask is not None:
         drop_mask = drop_mask[order]
-    emb = tensors["embedding"][indices]
-    convs = _conv_pre_batch(emb, [tensors[f"conv{k}.weights"] for k in cfg.windows],
+    convs = _conv_pre_batch(tensors["embedding"], indices,
+                            [tensors[f"conv{k}.weights"] for k in cfg.windows],
                             [tensors[f"conv{k}.bias"] for k in cfg.windows], mask)
     channels = []
     summaries = []
@@ -629,8 +670,7 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     yhat = sigmoid(logits)
     caller_yhat = np.empty_like(yhat)
     caller_yhat[order] = yhat
-    return caller_yhat, {"order": order, "indices": indices, "emb": emb,
-                         "channels": channels, "dropped": dropped,
+    return caller_yhat, {"order": order, "indices": indices, "channels": channels, "dropped": dropped,
                          "drop_mask": drop_mask, "yhat": yhat}
 
 
@@ -687,16 +727,13 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
         d_pre = d_fm * (pre > 0)
         d_pre *= ch_cache["conv_valid"][:, :, None]
         d_pres.append(d_pre)
-    emb = cache["emb"]
-    conv_grads, d_emb = _conv_batch_backward(
-        emb, d_pres, [tensors[f"conv{k}.weights"] for k in cfg.windows])
+    g_embedding = np.zeros_like(tensors["embedding"])
+    conv_grads = _conv_batch_backward(
+        tensors["embedding"], cache["indices"], d_pres,
+        [tensors[f"conv{k}.weights"] for k in cfg.windows],
+        g_embedding if params.embedding_trainable else None)
     for k, g, (g_w, g_b) in zip(cfg.windows, gru_grads, conv_grads):
         grads.update(g)
         grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = g_w, g_b
-
-    g_embedding = np.zeros_like(tensors["embedding"])
-    if params.embedding_trainable:
-        _scatter_rows(g_embedding, cache["indices"].ravel(),
-                      d_emb.reshape(-1, emb.shape[2]))
     grads["embedding"] = g_embedding
     return grads

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delaes import DomainError, TrainConfig, UsageError
+from delaes import DomainError, TrainConfig, UsageError, network
 from delaes.network import (
     bigru_forward,
     conv1d_forward,
@@ -401,14 +401,20 @@ class TestStackedConv:
 
     WINDOWS, DIM, FILTERS = (1, 2, 4), 5, 3
 
-    def test_forward_and_gradients_match_per_offset_loop(self):
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_forward_and_gradients_match_per_offset_loop(self, block_bytes, monkeypatch):
+        if block_bytes is not None:  # one batch row per gather-GEMM-scatter block
+            monkeypatch.setattr(network, "_CONV_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(41)
         indices, mask = pad_rows([[3, 4, 5, 6, 7, 8, 9], [3, 4], [5, 6, 7, 8]], 4)
         emb = rng.normal(size=(*indices.shape, self.DIM))
         emb[~mask] = 0.0
+        # Row 1 + i of the table is flat position i of the batch; row 0 is PAD.
+        table = np.concatenate([np.zeros((1, self.DIM)), emb.reshape(-1, self.DIM)])
+        positions = np.arange(1, mask.size + 1).reshape(mask.shape)
         weights = [rng.normal(size=(self.FILTERS, k * self.DIM)) for k in self.WINDOWS]
         biases = [rng.normal(size=self.FILTERS) for _ in self.WINDOWS]
-        convs = _conv_pre_batch(emb, weights, biases, mask)
+        convs = _conv_pre_batch(table, positions, weights, biases, mask)
         d_pres = []
         for k, w, b, (pre, valid) in zip(self.WINDOWS, weights, biases, convs):
             np.testing.assert_allclose(pre, conv_batch_loop(emb, w, b), rtol=1e-12)
@@ -416,7 +422,9 @@ class TestStackedConv:
                                    for i in range(len(mask))])
             np.testing.assert_array_equal(valid, want_valid)
             d_pres.append(rng.normal(size=pre.shape) * valid[:, :, None])
-        grads, d_emb = _conv_batch_backward(emb, d_pres, weights)
+        g_table = np.zeros_like(table)
+        grads = _conv_batch_backward(table, positions, d_pres, weights, g_table)
+        d_emb = g_table[1:].reshape(emb.shape)
         want_d_emb = np.zeros_like(emb)
         for w, d_pre, (g_w, g_b) in zip(weights, d_pres, grads):
             want_w, want_b, d_emb_k = conv_batch_backward_loop(emb, d_pre, w)
