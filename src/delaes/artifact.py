@@ -125,8 +125,10 @@ def load_model(path) -> ModelArtifact:
         bounds = _field(meta, "score_range", dict)
         score_range = ScoreRange(*(_field(bounds, key, int)
                                    for key in ("prompt_id", "min", "max")))
-        params = ModelParameters(cfg, tensors,
-                                 meta.get("embedding_trainable", True), vocab)
+        trainable = meta.get("embedding_trainable", True)
+        if not isinstance(trainable, bool):
+            raise FormatError("metadata field 'embedding_trainable' is not a bool")
+        params = ModelParameters(cfg, tensors, trainable, vocab)
     except DelaesError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return ModelArtifact(params=params, vocab=vocab, score_range=score_range,

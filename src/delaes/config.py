@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 from .corpus import text_lines
@@ -39,8 +40,9 @@ class TrainConfig:
     def __post_init__(self):
         if not self.windows or any(k < 1 for k in self.windows):
             raise UsageError("windows must be a non-empty tuple of positive sizes")
-        if tuple(sorted(self.windows)) != tuple(self.windows):
-            raise UsageError("windows must be sorted ascending")
+        # Each window names its own tensors, so a repeated window would share them.
+        if any(a >= b for a, b in zip(self.windows, self.windows[1:])):
+            raise UsageError("windows must be strictly ascending")
         for name in ("filters", "batch_size", "hidden_units", "epochs",
                      "embedding_dim", "pool_size", "pool_stride", "min_count"):
             if getattr(self, name) < (0 if name == "epochs" else 1):
@@ -49,6 +51,10 @@ class TrainConfig:
             raise UsageError("dropout must lie in [0, 1)")
         if self.learning_rate <= 0:
             raise UsageError("learning_rate must be positive")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise UsageError("grad_clip must be positive or none")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if not 0.0 < self.val_fraction < 1.0:
             raise UsageError("val_fraction must lie in (0, 1)")
         if self.summary_mode not in ("last", "mean"):
@@ -61,18 +67,45 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """Inverse of :meth:`to_dict`; unknown keys and mistyped values raise
-        :class:`FormatError`."""
-        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        """Inverse of :meth:`to_dict`; unknown keys and values not of their
+        field's JSON type raise :class:`FormatError`."""
+        types = _field_types()
+        unknown = sorted(set(data) - set(types))
         if unknown:
             raise FormatError(f"unknown config key(s) {unknown}")
-        kwargs = dict(data)
-        try:
-            if "windows" in kwargs:
-                kwargs["windows"] = tuple(int(k) for k in kwargs["windows"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"malformed config: {exc}") from None
+        return cls(**{key: _from_json(key, types[key], value)
+                      for key, value in data.items()})
+
+
+def _field_types() -> dict:
+    """Each field's type: the one table that the config-file parser converts
+    to and :meth:`TrainConfig.from_dict` checks against."""
+    return typing.get_type_hints(TrainConfig)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _from_json(key: str, kind, value):
+    """``value`` as field ``key`` of type ``kind`` takes it from
+    :meth:`TrainConfig.to_dict`'s JSON form: ints for int fields, ints or
+    floats for float fields."""
+    if kind == tuple[int, ...]:
+        ok = isinstance(value, list) and all(_is_int(k) for k in value)
+        value = tuple(value) if ok else value
+    elif kind == float | None:
+        ok = value is None or _is_int(value) or isinstance(value, float)
+    elif kind is float:
+        ok = _is_int(value) or isinstance(value, float)
+    elif kind is int:
+        ok = _is_int(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        name = kind.__name__ if isinstance(kind, type) else kind
+        raise FormatError(f"config key {key!r}: {value!r} is not of type {name}")
+    return value
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -104,25 +137,21 @@ def _parse_bool(value: str) -> bool:
 
 def apply_config_entries(cfg: TrainConfig, entries: dict[str, str]) -> TrainConfig:
     """Return a copy of ``cfg`` with typed overrides applied."""
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    types = _field_types()
     overrides = {}
     for key, value in entries.items():
-        if key not in fields:
+        if key not in types:
             raise FormatError(f"unknown config key {key!r}")
+        kind = types[key]
         try:
-            if key == "windows":
+            if kind == tuple[int, ...]:
                 overrides[key] = tuple(int(part) for part in value.split(","))
-            elif key == "grad_clip":
+            elif kind == float | None:
                 overrides[key] = None if value.lower() in ("none", "") else float(value)
-            elif key in ("dropout", "learning_rate", "rmsprop_decay",
-                         "rmsprop_epsilon", "val_fraction"):
-                overrides[key] = float(value)
-            elif key in ("reshuffle_each_epoch", "trainable_embeddings"):
+            elif kind is bool:
                 overrides[key] = _parse_bool(value)
-            elif key == "summary_mode":
-                overrides[key] = value
             else:
-                overrides[key] = int(value)
+                overrides[key] = kind(value)
         except ValueError as exc:
             raise FormatError(f"config key {key!r}: {exc}") from None
     return dataclasses.replace(cfg, **overrides)

@@ -16,9 +16,12 @@ direction.
 
 All operations are pure given parameters and an explicit generator, so an
 unchanging :class:`ModelParameters` can serve any number of concurrent
-inference calls.  Positions whose convolution window touches a padding token
-are masked out of pooling, and masked GRU steps carry the previous hidden
-state, which makes inference outputs invariant to trailing padding.
+inference calls.  Padding only follows an essay's real tokens, so each row
+carries its real extent as a length: ``n`` tokens, ``max(n - k + 1, 0)``
+positions of window ``k``, and the ``min(ceil(c / stride), T)`` pooled
+windows that start at one of ``c`` positions.  Nothing past a length
+reaches pooling or steps the GRU, so trailing padding cannot change a score
+while the pool is no wider than its stride.
 """
 from __future__ import annotations
 
@@ -188,8 +191,7 @@ def conv1d_forward(matrix: np.ndarray, weights: np.ndarray,
                          f"of the embedding dimension {d}")
     assert m >= weights.shape[1] // d, \
         "convolution input narrower than window: upstream padding bug"
-    [(pre, _)] = _conv_pre_batch(matrix.T, np.arange(m)[None], [weights], [bias],
-                                 np.ones((1, m), dtype=bool))
+    [pre] = _conv_pre_batch(matrix.T, np.arange(m)[None], [weights], [bias])
     return np.maximum(pre[0], 0).T
 
 
@@ -202,8 +204,7 @@ def maxpool(feature_map: np.ndarray, pool: int, stride: int) -> np.ndarray:
     if pool < 1 or stride < 1:
         raise DomainError("pool and stride must be >= 1")
     fm = np.asarray(feature_map)[None].transpose(0, 2, 1)  # (1, width, filters)
-    width = fm.shape[1]
-    pooled, _, _ = _maxpool_batch(fm, np.ones((1, width), dtype=bool), pool, stride)
+    pooled, _, _ = _maxpool_batch(fm, np.array([fm.shape[1]]), pool, stride)
     return pooled[0].T
 
 
@@ -227,8 +228,9 @@ def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
     ``fw`` and ``bw`` are gate-name mappings as for :func:`gru_step`.
     Returns per-step outputs (steps, 2H) as [forward state, backward state]
     and the summary vector [forward state at the last real step, backward
-    state at the first real step].  Masked steps carry the previous hidden
-    state in both directions; initial states are zero.
+    state at the first real step].  ``mask`` marks the real steps, which
+    come first (else :class:`UsageError`); padded steps carry the previous
+    hidden state in both directions.  Initial states are zero.
     """
     seq = np.asarray(seq)
     steps = seq.shape[0]
@@ -237,14 +239,13 @@ def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (steps,):
         raise UsageError("mask length must equal sequence length")
-    x = seq[:, None, :]          # time-major batch of one
-    valid = mask[:, None]
-    fw_cache = _gru_scan(x, valid, fw)
-    bw_cache = _gru_scan(x[::-1], valid[::-1], bw)
-    outputs = np.concatenate([fw_cache["h"][1:, 0], bw_cache["h"][1:, 0][::-1]],
+    gates = {f"{direction}.{name}": p[name]
+             for direction, p in (("fw", fw), ("bw", bw)) for name in _GATE_NAMES}
+    summary, cache = _bigru_batch(seq[None], _prefix_lengths(mask[None]), gates, "",
+                                  "last")
+    outputs = np.concatenate([cache["fw"]["h"][1:, 0], cache["bw"]["h"][1:, 0][::-1]],
                              axis=1)
-    summary = np.concatenate([fw_cache["h"][-1, 0], bw_cache["h"][-1, 0]])
-    return outputs, summary
+    return outputs, summary[0]
 
 
 def forward(essay_indices, params: ModelParameters,
@@ -255,7 +256,8 @@ def forward(essay_indices, params: ModelParameters,
     (0, 1) unless the logit is large enough for sigmoid to round to 0 or 1.
 
     Pass a seeded generator to enable training-mode dropout; leave it None
-    for deterministic inference.
+    for deterministic inference.  PAD may follow the essay's real tokens
+    but not precede one: that raises :class:`UsageError`.
     """
     seq = np.asarray(essay_indices, dtype=np.int64)
     if seq.ndim != 1 or seq.size == 0:
@@ -323,19 +325,18 @@ def _row_blocks(rows: int, row_bytes: int):
 
 
 def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
-                    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-                    mask: np.ndarray):
-    """Pre-activations (B, P, F) and window validity (B, P) of every channel
-    over the rows of ``table`` (V, d) that ``indices`` (B, L) picks.
+                    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+    """Pre-activations (B, P, F) of every channel over the rows of ``table``
+    (V, d) that ``indices`` (B, L) picks.
 
     A GEMM of the gathered embeddings against :func:`_stack_conv_weights`
     gives each token's product with every offset's weight slice; a channel's
     output at position ``p`` then sums its offset-``j`` columns at token
     ``p + j``, one shifted add per offset.  Gather and GEMM run over
     :func:`_row_blocks` of the batch into one reused buffer, so neither the
-    (B, L, d) embeddings nor the (B, L, Σk·F) products exist at once.  A
-    position is valid only when every token in its window is real, so
-    padding never leaks into downstream layers.
+    (B, L, d) embeddings nor the (B, L, Σk·F) products exist at once.
+    Positions whose window reaches padding are computed too; the callers'
+    lengths keep them out of the layers downstream.
     """
     b, length = indices.shape
     d = table.shape[1]
@@ -357,8 +358,7 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
             block = np.add(products[:, :p, col:col + f], bias, out=pre[rows])
             for j in range(1, k):
                 block += products[:, j:j + p, col + j * f:col + (j + 1) * f]
-    return [(pre, np.lib.stride_tricks.sliding_window_view(mask, k, axis=1).all(axis=2))
-            for pre, (_, k, _) in zip(pres, columns)]
+    return pres
 
 
 def _conv_batch_backward(table: np.ndarray, indices: np.ndarray,
@@ -402,42 +402,42 @@ def _conv_batch_backward(table: np.ndarray, indices: np.ndarray,
             for (f, k, col), d_pre in zip(columns, d_pres)]
 
 
-def _maxpool_batch(fm: np.ndarray, valid: np.ndarray, pool: int, stride: int):
-    """Masked temporal max-pooling.
+def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int):
+    """Temporal max-pooling of a (B, width, F) map whose row ``i`` has
+    ``lengths[i]`` real positions, then padding.
 
     Returns pooled values (B, T, F), each window's argmax offset (B, T, F;
-    the smallest unsigned integer type that holds ``pool - 1``)
-    and pooled validity (B, T); windows with no valid position pool to zero
-    and are marked invalid.  One pass per offset inside the window: an offset
+    the smallest unsigned integer type that holds ``pool - 1``) and pooled
+    lengths (B,), counting the windows that start at a real position; the
+    rest pool to zero.  One pass per offset inside the window: an offset
     replaces the running best where it is greater or NaN and the best is not
-    NaN, as ``np.argmax`` picks (first maximum, NaN wins).  Masked positions
+    NaN, as ``np.argmax`` picks (first maximum, NaN wins).  Padded positions
     hold ``finfo.min``; positions past the input hold -inf, which never wins.
     """
     b, width, f = fm.shape
     t = max(1, -(-(width - pool) // stride) + 1)
     span, last = (t - 1) * stride + pool, (t - 1) * stride + 1
     masked = np.full((b, span, f), -np.inf, dtype=fm.dtype)
-    masked[:, :width] = np.finfo(fm.dtype).min
-    np.copyto(masked[:, :width], fm, where=valid[:, :, None])
-    valid_span = np.pad(valid, ((0, 0), (0, span - width)))
+    masked[:, :width] = fm
+    np.copyto(masked[:, :width], np.finfo(fm.dtype).min,
+              where=np.arange(width)[:, None] >= lengths[:, None, None])
     pooled = masked[:, :last:stride].copy()
     offset = np.zeros((b, t, f), dtype=np.min_scalar_type(pool - 1))
-    pooled_valid = valid_span[:, :last:stride].copy()
     for o in range(1, pool):
         cand = masked[:, o:o + last:stride]
         better = (pooled == pooled) & ~(cand <= pooled)
         np.copyto(pooled, cand, where=better)
         np.copyto(offset, o, where=better)
-        pooled_valid |= valid_span[:, o:o + last:stride]
-    pooled[~pooled_valid] = 0
-    return pooled, offset, pooled_valid
+    pooled_lengths = np.minimum(-(-lengths // stride), t)
+    pooled[np.arange(t) >= pooled_lengths[:, None]] = 0
+    return pooled, offset, pooled_lengths
 
 
 def _maxpool_batch_backward(d_pooled: np.ndarray, offset: np.ndarray,
-                            pooled_valid: np.ndarray, width: int, pool: int,
+                            lengths: np.ndarray, width: int, pool: int,
                             stride: int) -> np.ndarray:
     """Route pooled gradients (B, T, F) to their argmax positions in a
-    (B, width, F) map; invalid windows contribute nothing.
+    (B, width, F) map; windows past a row's pooled length contribute nothing.
 
     Offsets run last to first, so a position that several windows pooled
     from sums their gradients in ascending window order.
@@ -445,7 +445,7 @@ def _maxpool_batch_backward(d_pooled: np.ndarray, offset: np.ndarray,
     b, t, f = offset.shape
     last = (t - 1) * stride + 1
     d_fm = np.zeros((b, last + pool - 1, f), dtype=d_pooled.dtype)
-    d = np.where(pooled_valid[:, :, None], d_pooled, 0)
+    d = np.where(np.arange(t)[:, None] < lengths[:, None, None], d_pooled, 0)
     for o in range(pool - 1, -1, -1):
         d_fm[:, o:o + last:stride] += np.where(offset == o, d, 0)
     return d_fm[:, :width]
@@ -482,44 +482,40 @@ def _gru_cell(gates: np.ndarray, h: np.ndarray, u_zr: np.ndarray,
     return (1.0 - z) * h + z * c
 
 
-def _active_spans(valid: np.ndarray) -> list[tuple[int, int]]:
-    """Per step of a (T, B) validity matrix, the row span ``[lo, hi)`` that
-    holds every valid row; ``lo == hi`` where no row is valid."""
-    rows = valid.shape[1]
-    any_valid = valid.any(axis=1)
-    lo = np.where(any_valid, valid.argmax(axis=1), 0)
-    hi = np.where(any_valid, rows - valid[:, ::-1].argmax(axis=1), 0)
-    return list(zip(lo.tolist(), hi.tolist()))
+def _prefix_lengths(mask: np.ndarray) -> np.ndarray:
+    """Row lengths of a (..., L) mask whose true entries lead every row;
+    a false entry before a true one raises :class:`UsageError`."""
+    lengths = mask.sum(axis=-1)
+    if not np.array_equal(mask, np.arange(mask.shape[-1]) < lengths[..., None]):
+        raise UsageError("padding may only follow the real tokens of a row")
+    return lengths
 
 
-def _gru_scan(x: np.ndarray, valid: np.ndarray, gates: Mapping[str, np.ndarray],
+def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray],
               prefix: str = "") -> dict:
     """Scan one direction over time-major input (T, B, I).
 
     The direction's matrices are ``gates[prefix + name]`` for each gate name:
     a gate-name mapping with the empty prefix, or the model's tensor map with
     a prefix such as ``"gru2.fw."``.  Returns stacked states and gate values;
-    ``h`` has T+1 entries with the zero initial state first.  Invalid steps
-    copy the previous state.
+    ``h`` has T+1 entries with the zero initial state first.
 
     The input projections of all steps are one matmul into a (T, B, 3H)
     buffer, which each step overwrites with its gates; ``z``, ``r`` and ``c``
-    are views of it.  Step ``t`` computes only the rows of its
-    :func:`_active_spans` span; rows outside it carry their state, and their
-    gate values are unspecified.
+    are views of it.  Step ``t`` computes only the first ``active[t]`` rows
+    (rows sorted by descending length); the others carry their state, and
+    their gate values are unspecified.
     """
     w_x, u_zr, u_h = _fused_gates(gates, prefix)
     steps, batch, _ = x.shape
     hidden = u_h.shape[0]
     buf = np.matmul(x, w_x, out=np.empty((steps, batch, 3 * hidden), dtype=x.dtype))
     hs = np.zeros((steps + 1, batch, hidden), dtype=x.dtype)
-    for t, (lo, hi) in enumerate(_active_spans(valid)):
-        hs[t + 1] = hs[t]
-        if lo < hi:
-            h = hs[t, lo:hi]
-            h_new = _gru_cell(buf[t, lo:hi], h, u_zr, u_h)
-            hs[t + 1, lo:hi] = np.where(valid[t, lo:hi, None], h_new, h)
-    return {"x": x, "valid": valid, "h": hs, "z": buf[:, :, :hidden],
+    for t, a in enumerate(active.tolist()):
+        hs[t + 1, a:] = hs[t, a:]
+        if a:
+            hs[t + 1, :a] = _gru_cell(buf[t, :a], hs[t, :a], u_zr, u_h)
+    return {"x": x, "active": active, "h": hs, "z": buf[:, :, :hidden],
             "r": buf[:, :, hidden:2 * hidden], "c": buf[:, :, 2 * hidden:]}
 
 
@@ -533,13 +529,13 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     last step; ``d_steps`` optionally adds per-step output gradients.
     Returns the input gradient (T, B, I) and the gate gradients under the
     same ``prefix + name`` keys, in gate order.  Step ``t`` works on the
-    rows of its :func:`_active_spans` span, as the forward scan did; rows
-    outside it carry their gradient.  The carried state gradient is flushed
-    to zero below ``finfo.tiny / finfo.eps`` after every step (see the note
-    by ``_GATE_NAMES``).
+    first ``active[t]`` rows, as the forward scan did; the other rows carry
+    their gradient.  The carried state gradient is flushed to zero below
+    ``finfo.tiny / finfo.eps`` after every step (see the note by
+    ``_GATE_NAMES``).
     """
     w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
-    x, valid = cache["x"], cache["valid"]
+    x, active = cache["x"], cache["active"].tolist()
     hs, zs, rs, cs = cache["h"], cache["z"], cache["r"], cache["c"]
     steps = x.shape[0]
     info = np.finfo(x.dtype)
@@ -548,21 +544,18 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     dx = np.zeros_like(x)
     g_w_z, g_w_r, g_w_h = (np.zeros_like(w) for w in (w_z, w_r, w_h))
     g_u_z, g_u_r, g_u_h = (np.zeros_like(u) for u in (u_z, u_r, u_h))
-    spans = _active_spans(valid)
     for t in range(steps - 1, -1, -1):
         if d_steps is not None:
             dh = dh + d_steps[t]
-        lo, hi = spans[t]
-        if lo == hi:
+        a = active[t]
+        if not a:
             continue
-        x_t, dx_t = x[t, lo:hi], dx[t, lo:hi]
-        m = valid[t, lo:hi, None].astype(x.dtype)
-        z, r, c, h_prev = zs[t, lo:hi], rs[t, lo:hi], cs[t, lo:hi], hs[t, lo:hi]
-        d_carry = dh[lo:hi]
-        d_new = d_carry * m
+        x_t, dx_t = x[t, :a], dx[t, :a]
+        z, r, c, h_prev = zs[t, :a], rs[t, :a], cs[t, :a], hs[t, :a]
+        d_new = dh[:a]
         dz = d_new * (c - h_prev)
         dc = d_new * z
-        dh_prev = d_new * (1.0 - z) + d_carry * (1.0 - m)
+        dh_prev = d_new * (1.0 - z)
         da_c = dc * (1.0 - c * c)
         g_w_h += da_c.T @ x_t
         g_u_h += da_c.T @ (r * h_prev)
@@ -580,51 +573,56 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
         dx_t += da_z @ w_z
         dh_prev += da_z @ u_z
         dh_prev[np.abs(dh_prev) < flush] = 0.0
-        dh[lo:hi] = dh_prev
+        dh[:a] = dh_prev
     grads = (g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h)
     return dx, {prefix + name: g for name, g in zip(_GATE_NAMES, grads)}
 
 
-def _bigru_batch(pooled: np.ndarray, pooled_valid: np.ndarray,
+def _mean_weights(lengths: np.ndarray, steps: int, dtype):
+    """Mean-summary weights (T, B, 1), 1 at real steps, and divisors (B, 1)."""
+    weights = (np.arange(steps)[:, None] < lengths).astype(dtype)[:, :, None]
+    return weights, np.maximum(lengths, 1).astype(dtype)[:, None]
+
+
+def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
                  tensors: Mapping[str, np.ndarray], prefix: str,
                  summary_mode: str):
-    """Both directions over batch-major pooled features (B, T, F).
+    """Both directions over batch-major pooled features (B, T, F), rows
+    sorted by descending ``lengths``.
 
     The directions' matrices are ``tensors[prefix + "fw." + gate]`` and
     ``tensors[prefix + "bw." + gate]``.  Returns the channel summary (B, 2H)
     and the two scan caches.
     """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
-    valid = np.ascontiguousarray(pooled_valid.T)
-    fw = _gru_scan(x, valid, tensors, prefix + "fw.")
-    bw = _gru_scan(x[::-1], valid[::-1], tensors, prefix + "bw.")
+    active = (lengths > np.arange(x.shape[0])[:, None]).sum(axis=1)
+    fw = _gru_scan(x, active, tensors, prefix + "fw.")
+    bw = _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.")
     if summary_mode == "last":
         summary = np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1)
     else:
-        counts = np.maximum(valid.sum(axis=0), 1).astype(x.dtype)[:, None]
-        weights = valid.astype(x.dtype)[:, :, None]
+        weights, counts = _mean_weights(lengths, x.shape[0], x.dtype)
         mean_fw = (fw["h"][1:] * weights).sum(axis=0) / counts
         mean_bw = (bw["h"][1:] * weights[::-1]).sum(axis=0) / counts
         summary = np.concatenate([mean_fw, mean_bw], axis=1)
     return summary, {"fw": fw, "bw": bw}
 
 
-def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray],
-                          prefix: str, d_summary: np.ndarray, summary_mode: str
+def _bigru_batch_backward(cache: dict, lengths: np.ndarray,
+                          tensors: Mapping[str, np.ndarray], prefix: str,
+                          d_summary: np.ndarray, summary_mode: str
                           ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gradient of the channel summary w.r.t. pooled inputs, plus the gate
     gradients of both directions keyed by their tensor names (forward
-    direction first)."""
+    direction first).  ``lengths`` are the rows' pooled lengths."""
     hidden = d_summary.shape[1] // 2
     d_fw, d_bw = d_summary[:, :hidden], d_summary[:, hidden:]
     fw, bw = cache["fw"], cache["bw"]
     steps_fw = steps_bw = None
     if summary_mode == "mean":
-        valid = fw["valid"]
-        dtype = fw["x"].dtype
-        counts = np.maximum(valid.sum(axis=0), 1).astype(dtype)[:, None]
-        steps_fw = valid.astype(dtype)[:, :, None] * (d_fw / counts)[None]
-        steps_bw = valid[::-1].astype(dtype)[:, :, None] * (d_bw / counts)[None]
+        weights, counts = _mean_weights(lengths, len(fw["active"]), fw["x"].dtype)
+        steps_fw = weights * (d_fw / counts)[None]
+        steps_bw = weights[::-1] * (d_bw / counts)[None]
         d_fw = d_bw = np.zeros_like(d_fw)
     dx_fw, g_fw = _gru_scan_backward(fw, tensors, d_fw, steps_fw, prefix + "fw.")
     dx_bw, g_bw = _gru_scan_backward(bw, tensors, d_bw, steps_bw, prefix + "bw.")
@@ -638,32 +636,33 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     """Score a padded batch; returns predictions (B,) and the cache that
     :func:`backward_batch` reads.
 
-    ``drop_mask`` is a fixed dropout realization from :func:`make_drop_mask`,
-    or None for inference.  Internally the rows run in descending order of
-    real length (a stable sort), so each GRU step's valid rows form a short
-    leading span; the predictions come back in caller order, and the cache
-    keeps the sorted order.
+    ``mask`` marks each row's real tokens, which come first (else
+    :class:`UsageError`).  ``drop_mask`` is a fixed dropout realization from
+    :func:`make_drop_mask`, or None for inference.  Rows run longest first
+    (a stable sort), so those still inside their essay lead every GRU step;
+    predictions come back in caller order, the cache keeps sorted order.
     """
     cfg = params.config
     tensors = params.tensors
-    order = np.argsort(-mask.sum(axis=1), kind="stable")
-    indices, mask = indices[order], mask[order]
+    lengths = _prefix_lengths(mask)
+    order = np.argsort(-lengths, kind="stable")
+    indices, lengths = indices[order], lengths[order]
     if drop_mask is not None:
         drop_mask = drop_mask[order]
-    convs = _conv_pre_batch(tensors["embedding"], indices,
-                            [tensors[f"conv{k}.weights"] for k in cfg.windows],
-                            [tensors[f"conv{k}.bias"] for k in cfg.windows], mask)
+    pres = _conv_pre_batch(tensors["embedding"], indices,
+                           [tensors[f"conv{k}.weights"] for k in cfg.windows],
+                           [tensors[f"conv{k}.bias"] for k in cfg.windows])
     channels = []
     summaries = []
-    for k, (pre, conv_valid) in zip(cfg.windows, convs):
-        fm = np.maximum(pre, 0)
-        pooled, offset, pooled_valid = _maxpool_batch(
-            fm, conv_valid, cfg.pool_size, cfg.pool_stride)
-        summary, bicache = _bigru_batch(pooled, pooled_valid, tensors,
+    for k, pre in zip(cfg.windows, pres):
+        pooled, offset, pooled_lengths = _maxpool_batch(
+            np.maximum(pre, 0), np.maximum(lengths - k + 1, 0),
+            cfg.pool_size, cfg.pool_stride)
+        summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors,
                                         f"gru{k}.", cfg.summary_mode)
         summaries.append(summary)
-        channels.append({"pre": pre, "conv_valid": conv_valid, "offset": offset,
-                         "pooled_valid": pooled_valid, "bigru": bicache})
+        channels.append({"pre": pre, "offset": offset, "lengths": pooled_lengths,
+                         "bigru": bicache})
     concat = np.concatenate(summaries, axis=1)
     dropped = concat * drop_mask if drop_mask is not None else concat
     logits = dropped @ tensors["dense.weights"] + tensors["dense.bias"][0]
@@ -717,16 +716,15 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
         # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
         ch_cache, channels[ci] = channels[ci], None
         d_pooled, g = _bigru_batch_backward(
-            ch_cache.pop("bigru"), tensors, f"gru{k}.",
+            ch_cache.pop("bigru"), ch_cache["lengths"], tensors, f"gru{k}.",
             d_concat[:, ci * h2:(ci + 1) * h2], cfg.summary_mode)
         gru_grads.append(g)
         pre = ch_cache["pre"]
+        # Real windows pool from real positions: padding gets no gradient.
         d_fm = _maxpool_batch_backward(d_pooled, ch_cache["offset"],
-                                       ch_cache["pooled_valid"], pre.shape[1],
+                                       ch_cache["lengths"], pre.shape[1],
                                        cfg.pool_size, cfg.pool_stride)
-        d_pre = d_fm * (pre > 0)
-        d_pre *= ch_cache["conv_valid"][:, :, None]
-        d_pres.append(d_pre)
+        d_pres.append(d_fm * (pre > 0))
     g_embedding = np.zeros_like(tensors["embedding"])
     conv_grads = _conv_batch_backward(
         tensors["embedding"], cache["indices"], d_pres,

@@ -35,8 +35,8 @@ Gradients = dict[str, np.ndarray]
 class Batch:
     """Index matrix padded to a common length, with mask and targets.
 
-    ``mask`` is true exactly at real-token positions; every row has at least
-    one true entry.
+    ``mask`` is true exactly at real-token positions, which lead their row;
+    every row has at least one true entry.
     """
 
     indices: np.ndarray   # (B, L) int

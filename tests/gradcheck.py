@@ -20,7 +20,7 @@ class GradCheckReport:
 
 
 def _kink_floors(batch: Batch, params, dropout_seed: int) -> tuple[dict, float]:
-    """Minimum |pre-activation| per conv filter row, over valid positions only.
+    """Minimum |pre-activation| per conv filter row, over real positions only.
 
     Coordinates whose perturbation can move a ReLU input across zero are the
     only ones a finite difference can misjudge, so the check skips filter rows
@@ -36,9 +36,10 @@ def _kink_floors(batch: Batch, params, dropout_seed: int) -> tuple[dict, float]:
     _, cache = forward_batch(batch.indices, batch.mask, params, drop_mask)
     per_filter: dict[int, np.ndarray] = {}
     global_floor = np.inf
+    lengths = batch.mask.sum(axis=1)[cache["order"]]
     for window, ch_cache in zip(cfg.windows, cache["channels"]):
         pre = np.abs(ch_cache["pre"])
-        valid = ch_cache["conv_valid"][:, :, None]
+        valid = (np.arange(pre.shape[1]) < (lengths - window + 1)[:, None])[:, :, None]
         masked = np.where(valid, pre, np.inf)
         floors = masked.min(axis=(0, 1))
         per_filter[window] = floors

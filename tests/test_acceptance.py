@@ -105,8 +105,7 @@ def test_criterion_3_gru_equation_conformance():
         hidden, inputs, steps, batch = 5, 3, 10, 500
         direction = random_direction(rng, hidden, inputs, scale=1.0)
         x = rng.normal(0, 1.5, (steps, batch, inputs))
-        valid = np.ones((steps, batch), dtype=bool)
-        cache = _gru_scan(x, valid, direction)
+        cache = _gru_scan(x, np.full(steps, batch), direction)
         for gate in ("z", "r"):
             values = cache[gate]
             gates_ok &= bool(((values > 0) & (values < 1)).all())

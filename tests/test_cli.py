@@ -58,6 +58,10 @@ class TestTrain:
         assert main(train_args(data_files, second)) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_negative_seed_exits_1(self, data_files, tmp_path, capsys):
+        assert main(train_args(data_files, tmp_path / "m.bin", seed=-3)) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_missing_data_file_exits_1(self, data_files, tmp_path, capsys):
         args = train_args(data_files, tmp_path / "m.bin")
         args[args.index("--data") + 1] = str(tmp_path / "nope.tsv")
@@ -132,7 +136,14 @@ class TestPredict:
         lambda meta: meta.pop("config"),
         lambda meta: meta.pop("score_range"),
         lambda meta: meta["config"].update(unknown_knob=1),
-    ], ids=["no-config", "no-score-range", "unknown-config-key"])
+        lambda meta: meta["config"].update(pool_size=2.0),
+        lambda meta: meta["config"].update(batch_size=2.5),
+        lambda meta: meta["config"].update(windows="23"),
+        lambda meta: meta["config"].update(windows=[2.7, 3]),
+        lambda meta: meta.update(embedding_trainable="no"),
+    ], ids=["no-config", "no-score-range", "unknown-config-key", "float-pool-size",
+            "fractional-batch-size", "string-windows", "float-windows",
+            "string-embedding-trainable"])
     def test_malformed_metadata_exits_1(self, model_path, data_files, tmp_path,
                                         capsys, corrupt):
         raw = model_path.read_bytes()

@@ -67,3 +67,39 @@ class TestValidation:
     def test_round_trip_through_dict(self):
         cfg = TrainConfig(windows=(2, 5), epochs=3, grad_clip=0.5)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_repeated_window_rejected(self):
+        with pytest.raises(UsageError, match="strictly ascending"):
+            TrainConfig(windows=(2, 3, 3))
+
+    @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
+    def test_grad_clip_must_be_positive(self, grad_clip):
+        with pytest.raises(UsageError, match="grad_clip"):
+            TrainConfig(grad_clip=grad_clip)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError, match="seed"):
+            TrainConfig(seed=-1)
+        with pytest.raises(UsageError, match="seed"):
+            apply_config_entries(TrainConfig(), {"seed": "-1"})
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("key, value", [
+        ("pool_size", 2.0), ("pool_stride", 2.0), ("batch_size", 2.5),
+        ("epochs", True), ("windows", "23"), ("windows", [2.7, 3]),
+        ("dropout", "0.4"), ("grad_clip", "1"), ("summary_mode", 1),
+        ("trainable_embeddings", "no"),
+    ])
+    def test_mistyped_value_rejected(self, key, value):
+        data = TrainConfig().to_dict()
+        data[key] = value
+        with pytest.raises(FormatError, match=key):
+            TrainConfig.from_dict(data)
+
+    def test_int_accepted_for_float_field(self):
+        data = TrainConfig().to_dict()
+        data.update(learning_rate=1, grad_clip=2)
+        cfg = TrainConfig.from_dict(data)
+        assert (cfg.learning_rate, cfg.grad_clip) == (1, 2)
+        assert cfg.to_dict() == data

@@ -59,11 +59,10 @@ class TestGruScanIsolation:
         rng = np.random.default_rng(21)
         direction = random_direction(rng, hidden=3, inputs=2)
         x = rng.normal(size=(5, 2, 2))
-        valid = np.array([[True, True], [True, True], [True, False],
-                          [True, False], [False, False]])
+        active = np.array([2, 2, 1, 1, 0])   # rows of lengths 4 and 2
 
         def loss_of():
-            cache = _gru_scan(x, valid, direction)
+            cache = _gru_scan(x, active, direction)
             return 0.5 * float((cache["h"][-1] ** 2).sum()), cache
 
         loss, cache = loss_of()
@@ -116,7 +115,7 @@ class TestVanishingGradientFlush:
         gates = {name: w.astype(dtype) for name, w in direction.items()}
         x = rng.normal(size=(self.STEPS, self.BATCH, self.INPUTS)).astype(dtype)
         d_out = rng.normal(size=(self.BATCH, self.HIDDEN))
-        cache = _gru_scan(x, np.ones((self.STEPS, self.BATCH), dtype=bool), gates)
+        cache = _gru_scan(x, np.full(self.STEPS, self.BATCH), gates)
         if summary_mode == "last":
             d_final, d_steps = d_out.astype(dtype), None
         else:
@@ -126,7 +125,9 @@ class TestVanishingGradientFlush:
             d_steps = np.zeros((self.STEPS, self.BATCH, self.HIDDEN), dtype=dtype)
             d_steps[-10:] = (d_out / 10).astype(dtype)
         got = _gru_scan_backward(cache, gates, d_final, d_steps)
-        want = gru_scan_backward_unflushed(cache, gates, d_final, d_steps)
+        valid = np.ones((self.STEPS, self.BATCH), dtype=bool)
+        want = gru_scan_backward_unflushed({**cache, "valid": valid}, gates,
+                                           d_final, d_steps)
         return got, want
 
     @staticmethod
