@@ -84,9 +84,10 @@ class _Reader:
 
 
 def _field(meta, key: str, kind: type):
-    """``meta[key]``, required to be present and of type ``kind``."""
+    """``meta[key]``, required to be present and of type ``kind``; a JSON
+    boolean is refused, although Python counts it as an int."""
     value = meta.get(key) if isinstance(meta, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise FormatError(f"metadata field {key!r} missing or not a {kind.__name__}")
     return value
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 
@@ -49,8 +50,11 @@ class TrainConfig:
                 raise UsageError(f"{name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError("dropout must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise UsageError("learning_rate must be positive")
+        for name in ("learning_rate", "rmsprop_epsilon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be positive and finite")
+        if not 0.0 <= self.rmsprop_decay < 1.0:
+            raise UsageError("rmsprop_decay must lie in [0, 1)")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise UsageError("grad_clip must be positive or none")
         if self.seed < 0:

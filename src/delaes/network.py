@@ -16,12 +16,12 @@ direction.
 
 All operations are pure given parameters and an explicit generator, so an
 unchanging :class:`ModelParameters` can serve any number of concurrent
-inference calls.  Padding only follows an essay's real tokens, so each row
+inference calls.  Padding only follows an essay's real tokens, and each row
 carries its real extent as a length: ``n`` tokens, ``max(n - k + 1, 0)``
-positions of window ``k``, and the ``min(ceil(c / stride), T)`` pooled
-windows that start at one of ``c`` positions.  Nothing past a length
-reaches pooling or steps the GRU, so trailing padding cannot change a score
-while the pool is no wider than its stride.
+positions of window ``k``, and the pooled windows its unpadded map has.
+Past its length a row is treated exactly like the end of its essay, so
+padding cannot change a score, whatever the pool and stride: an essay
+scores the same alone or in any batch.
 """
 from __future__ import annotations
 
@@ -157,15 +157,14 @@ def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig,
     return ModelParameters(cfg, tensors, embedding.trainable)
 
 
-def pad_rows(rows: Sequence[Sequence[int]], min_length: int
-             ) -> tuple[np.ndarray, np.ndarray]:
+def pad_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Stack encoded essays into a PAD-filled (B, L) index matrix and its mask.
 
-    ``L`` is the longest row or ``min_length``, whichever is larger; the mask
-    is true exactly at non-PAD indices.  :meth:`Vocabulary.encode` never
-    yields PAD, so for encoded essays the mask marks every real token.
+    ``L`` is the longest row; the mask is true exactly at non-PAD indices.
+    :meth:`Vocabulary.encode` never yields PAD, so for encoded essays the
+    mask marks every real token.
     """
-    length = max(max(len(row) for row in rows), min_length)
+    length = max(len(row) for row in rows)
     indices = np.full((len(rows), length), PAD_INDEX, dtype=np.int64)
     for i, row in enumerate(rows):
         indices[i, :len(row)] = row
@@ -183,14 +182,13 @@ def conv1d_forward(matrix: np.ndarray, weights: np.ndarray,
     ``weights`` has shape (filters, window * dim); the slice
     ``weights[:, j*dim:(j+1)*dim]`` acts on the j-th column of the window.
     Output column i is ReLU(W @ vec(columns i..i+k-1) + b), giving a
-    (filters, n_tokens - k + 1) feature map of non-negative activations.
+    (filters, max(n_tokens - k + 1, 0)) feature map of non-negative
+    activations: empty when the essay is narrower than the window.
     """
     d, m = matrix.shape
     if weights.shape[1] % d:
         raise UsageError(f"weights width {weights.shape[1]} is not a multiple "
                          f"of the embedding dimension {d}")
-    assert m >= weights.shape[1] // d, \
-        "convolution input narrower than window: upstream padding bug"
     [pre] = _conv_pre_batch(matrix.T, np.arange(m)[None], [weights], [bias])
     return np.maximum(pre[0], 0).T
 
@@ -267,7 +265,7 @@ def forward(essay_indices, params: ModelParameters,
             f"token index {int(seq.min()) if seq.min() < 0 else int(seq.max())} "
             f"outside vocabulary of size {params.vocab_size}"
         )
-    indices, mask = pad_rows([seq], max(params.config.windows))
+    indices, mask = pad_rows([seq])
     drop_mask = None
     if dropout_rng is not None and params.config.dropout > 0:
         drop_mask = make_drop_mask(dropout_rng, (1, summary_width(params.config)),
@@ -327,7 +325,8 @@ def _row_blocks(rows: int, row_bytes: int):
 def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
                     weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
     """Pre-activations (B, P, F) of every channel over the rows of ``table``
-    (V, d) that ``indices`` (B, L) picks.
+    (V, d) that ``indices`` (B, L) picks, with ``P = max(L - k + 1, 0)``
+    positions for window ``k``.
 
     A GEMM of the gathered embeddings against :func:`_stack_conv_weights`
     gives each token's product with every offset's weight slice; a channel's
@@ -342,9 +341,7 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
     d = table.shape[1]
     stacked = _stack_conv_weights(weights, d)
     columns = list(_conv_channel_columns(weights, d))
-    for _, k, _ in columns:
-        assert length >= k, "convolution input narrower than window: upstream padding bug"
-    pres = [np.empty((b, length - k + 1, f), dtype=table.dtype) for f, k, _ in columns]
+    pres = [np.empty((b, max(length - k + 1, 0), f), dtype=table.dtype) for f, k, _ in columns]
     buf = None
     for rows in _row_blocks(b, length * stacked.shape[1] * table.itemsize):
         n = rows.stop - rows.start
@@ -408,19 +405,23 @@ def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int):
 
     Returns pooled values (B, T, F), each window's argmax offset (B, T, F;
     the smallest unsigned integer type that holds ``pool - 1``) and pooled
-    lengths (B,), counting the windows that start at a real position; the
-    rest pool to zero.  One pass per offset inside the window: an offset
-    replaces the running best where it is greater or NaN and the best is not
-    NaN, as ``np.argmax`` picks (first maximum, NaN wins).  Padded positions
-    hold ``finfo.min``; positions past the input hold -inf, which never wins.
+    lengths (B,).  A row of ``c`` positions gets the windows of its
+    unpadded map (:func:`maxpool`) that start inside it,
+    ``min(ceil(c / stride), max(1, ceil((c - pool) / stride) + 1))``, none
+    for ``c = 0``; the windows after them pool to zero.  Every position past
+    a row's length holds -inf, so it never wins: per offset inside the
+    window, the offset replaces the running best where it is greater or NaN
+    and the best is not NaN, as ``np.argmax`` picks (first maximum, NaN wins).
     """
+    def windows(c):  # windows of a c-position map, the last partial one kept
+        return np.maximum(1, -(-(c - pool) // stride) + 1)
+
     b, width, f = fm.shape
-    t = max(1, -(-(width - pool) // stride) + 1)
+    t = int(windows(width))
     span, last = (t - 1) * stride + pool, (t - 1) * stride + 1
     masked = np.full((b, span, f), -np.inf, dtype=fm.dtype)
-    masked[:, :width] = fm
-    np.copyto(masked[:, :width], np.finfo(fm.dtype).min,
-              where=np.arange(width)[:, None] >= lengths[:, None, None])
+    np.copyto(masked[:, :width], fm,
+              where=np.arange(width)[:, None] < lengths[:, None, None])
     pooled = masked[:, :last:stride].copy()
     offset = np.zeros((b, t, f), dtype=np.min_scalar_type(pool - 1))
     for o in range(1, pool):
@@ -428,26 +429,26 @@ def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int):
         better = (pooled == pooled) & ~(cand <= pooled)
         np.copyto(pooled, cand, where=better)
         np.copyto(offset, o, where=better)
-    pooled_lengths = np.minimum(-(-lengths // stride), t)
+    pooled_lengths = np.minimum(-(-lengths // stride), windows(lengths))
     pooled[np.arange(t) >= pooled_lengths[:, None]] = 0
     return pooled, offset, pooled_lengths
 
 
 def _maxpool_batch_backward(d_pooled: np.ndarray, offset: np.ndarray,
-                            lengths: np.ndarray, width: int, pool: int,
-                            stride: int) -> np.ndarray:
+                            width: int, pool: int, stride: int) -> np.ndarray:
     """Route pooled gradients (B, T, F) to their argmax positions in a
-    (B, width, F) map; windows past a row's pooled length contribute nothing.
+    (B, width, F) map.
 
-    Offsets run last to first, so a position that several windows pooled
-    from sums their gradients in ascending window order.
+    ``d_pooled`` must be zero at every window past a row's pooled length, as
+    :func:`_gru_scan_backward` leaves it.  Offsets run last to first, so a
+    position that several windows pooled from sums their gradients in
+    ascending window order.
     """
     b, t, f = offset.shape
     last = (t - 1) * stride + 1
     d_fm = np.zeros((b, last + pool - 1, f), dtype=d_pooled.dtype)
-    d = np.where(np.arange(t)[:, None] < lengths[:, None, None], d_pooled, 0)
     for o in range(pool - 1, -1, -1):
-        d_fm[:, o:o + last:stride] += np.where(offset == o, d, 0)
+        d_fm[:, o:o + last:stride] += np.where(offset == o, d_pooled, 0)
     return d_fm[:, :width]
 
 
@@ -721,8 +722,7 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
         gru_grads.append(g)
         pre = ch_cache["pre"]
         # Real windows pool from real positions: padding gets no gradient.
-        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["offset"],
-                                       ch_cache["lengths"], pre.shape[1],
+        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["offset"], pre.shape[1],
                                        cfg.pool_size, cfg.pool_stride)
         d_pres.append(d_fm * (pre > 0))
     g_embedding = np.zeros_like(tensors["embedding"])

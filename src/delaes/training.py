@@ -56,12 +56,11 @@ class EpochRecord:
 
 
 def make_batches(essay_set: EssaySet, vocab: Vocabulary, batch_size: int,
-                 shuffle_seed: int, min_length: int = 1) -> list[Batch]:
+                 shuffle_seed: int) -> list[Batch]:
     """Shuffle deterministically and pad each batch to its own longest essay.
 
-    ``min_length`` lets callers guarantee the width required by the widest
-    convolution window.  The last batch may be short; the union of batches is
-    exactly the input set.
+    The last batch may be short; the union of batches is exactly the input
+    set.
     """
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
@@ -72,8 +71,7 @@ def make_batches(essay_set: EssaySet, vocab: Vocabulary, batch_size: int,
     batches = []
     for start in range(0, len(essays), batch_size):
         chunk = [essays[i] for i in order[start:start + batch_size]]
-        indices, mask = pad_rows([vocab.encode(e.tokens) for e in chunk],
-                                 min_length)
+        indices, mask = pad_rows([vocab.encode(e.tokens) for e in chunk])
         targets = np.array([e.normalized_score for e in chunk], dtype=np.float64)
         batches.append(Batch(indices, mask, targets,
                              tuple(e.essay_id for e in chunk)))
@@ -169,13 +167,11 @@ def predict_normalized(params: ModelParameters, vocab: Vocabulary,
     token_sequences = list(token_sequences)
     if not token_sequences:
         return np.zeros(0, dtype=np.float64)
-    cfg = params.config
-    size = batch_size or cfg.batch_size
+    size = batch_size or params.config.batch_size
     outputs = []
     for start in range(0, len(token_sequences), size):
         indices, mask = pad_rows(
-            [vocab.encode(tokens) for tokens in token_sequences[start:start + size]],
-            max(cfg.windows))
+            [vocab.encode(tokens) for tokens in token_sequences[start:start + size]])
         # Index the result so the backprop cache is freed before the next batch.
         yhat = forward_batch(indices, mask, params)[0]
         outputs.append(yhat.astype(np.float64))
@@ -232,15 +228,13 @@ def train(train_set: EssaySet, val_set: EssaySet, vocab: Vocabulary,
         raise UsageError("validation set is empty")
 
     state = RmsPropState.for_params(params, cfg)
-    min_length = max(cfg.windows)
     history: list[EpochRecord] = []
     best: ModelParameters | None = None
     best_qwk = -np.inf
     previous_mse = None
     for epoch in range(1, cfg.epochs + 1):
         shuffle_seed = cfg.seed + (epoch - 1 if cfg.reshuffle_each_epoch else 0)
-        batches = make_batches(train_set, vocab, cfg.batch_size, shuffle_seed,
-                               min_length=min_length)
+        batches = make_batches(train_set, vocab, cfg.batch_size, shuffle_seed)
         squared_sum = 0.0
         count = 0
         for i, batch in enumerate(batches):

@@ -124,31 +124,36 @@ def gru_scan_backward_unflushed(cache, gates, d_final, d_steps=None):
     return dx, grads
 
 
-def maxpool_batch_loop(fm, valid, pool, stride):
-    """Masked batch pooling with one ``argmax`` per pooled window.
+def maxpool_batch_loop(fm, lengths, pool, stride):
+    """Batch pooling of row ``i``'s first ``lengths[i]`` positions, with one
+    ``argmax`` per pooled window.
 
     Returns pooled values, argmax source positions and window validity, as
-    the library's offset-loop pooling must reproduce them bit for bit:
-    masked positions hold ``finfo.min``, a window with no valid position
-    pools to zero, and a window starting past the input keeps source 0.
+    the library's offset-loop pooling must reproduce them bit for bit.  A
+    row's valid windows are those that :func:`maxpool_oracle` gives its
+    unpadded map and that start inside it; the others pool to zero.
+    Positions past a row's length hold -inf, and a window starting past the
+    input keeps source 0.
     """
     batch, width, filters = fm.shape
     windows = max(1, math.ceil((width - pool) / stride) + 1)
-    masked = np.where(valid[:, :, None], fm, np.finfo(fm.dtype).min)
     pooled = np.zeros((batch, windows, filters), dtype=fm.dtype)
     source = np.zeros((batch, windows, filters), dtype=np.int64)
     pooled_valid = np.zeros((batch, windows), dtype=bool)
-    for j in range(windows):
-        lo = j * stride
-        if lo >= width:
-            continue
-        segment = masked[:, lo:lo + pool, :]
-        arg = segment.argmax(axis=1)
-        best = np.take_along_axis(segment, arg[:, None, :], axis=1)[:, 0, :]
-        window_valid = valid[:, lo:lo + pool].any(axis=1)
-        pooled[:, j, :] = np.where(window_valid[:, None], best, 0)
-        source[:, j, :] = arg + lo
-        pooled_valid[:, j] = window_valid
+    for i, c in enumerate(lengths):
+        masked = np.concatenate([fm[i, :c], np.full((width - c, filters), -np.inf,
+                                                    dtype=fm.dtype)])
+        own = max(1, math.ceil((c - pool) / stride) + 1) if c else 0
+        for j in range(windows):
+            lo = j * stride
+            if lo >= width:
+                continue
+            segment = masked[lo:lo + pool]
+            arg = segment.argmax(axis=0)
+            source[i, j] = arg + lo
+            if j < own and lo < c:
+                pooled[i, j] = segment[arg, np.arange(filters)]
+                pooled_valid[i, j] = True
     return pooled, source, pooled_valid
 
 

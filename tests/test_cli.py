@@ -141,9 +141,11 @@ class TestPredict:
         lambda meta: meta["config"].update(windows="23"),
         lambda meta: meta["config"].update(windows=[2.7, 3]),
         lambda meta: meta.update(embedding_trainable="no"),
+        lambda meta: meta["score_range"].update(min=False),
+        lambda meta: meta["score_range"].update(prompt_id=True),
     ], ids=["no-config", "no-score-range", "unknown-config-key", "float-pool-size",
             "fractional-batch-size", "string-windows", "float-windows",
-            "string-embedding-trainable"])
+            "string-embedding-trainable", "bool-score-min", "bool-prompt-id"])
     def test_malformed_metadata_exits_1(self, model_path, data_files, tmp_path,
                                         capsys, corrupt):
         raw = model_path.read_bytes()

@@ -77,6 +77,22 @@ class TestValidation:
         with pytest.raises(UsageError, match="grad_clip"):
             TrainConfig(grad_clip=grad_clip)
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("rmsprop_decay", 1.5), ("rmsprop_decay", 1.0),
+        ("rmsprop_decay", -0.1), ("rmsprop_decay", float("nan")),
+        ("rmsprop_epsilon", 0.0), ("rmsprop_epsilon", -1e-7),
+        ("rmsprop_epsilon", float("nan")), ("rmsprop_epsilon", float("inf")),
+    ])
+    def test_bad_optimizer_setting_rejected(self, key, value):
+        with pytest.raises(UsageError, match=key):
+            TrainConfig(**{key: value})
+        with pytest.raises(UsageError, match=key):
+            apply_config_entries(TrainConfig(), {key: str(value)})
+
+    def test_rmsprop_decay_zero_accepted(self):
+        assert TrainConfig(rmsprop_decay=0.0).rmsprop_decay == 0.0
+
     def test_negative_seed_rejected(self):
         with pytest.raises(UsageError, match="seed"):
             TrainConfig(seed=-1)

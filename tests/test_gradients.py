@@ -194,11 +194,10 @@ class TestBackwardContracts:
         rng = np.random.default_rng(4)
         rows = [rng.integers(1, vocab.size, int(n)) for n in rng.integers(2, 23, 19)]
         targets = rng.random(len(rows))
-        min_length = max(params.config.windows)
 
         def batch_of(indices):
             chosen = [rows[i] for i in indices]
-            return Batch(*pad_rows(chosen, min_length), targets[indices],
+            return Batch(*pad_rows(chosen), targets[indices],
                          tuple(indices))
 
         _, grads = backward(batch_of(list(range(len(rows)))), params, 1)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaes import DomainError, TrainConfig, UsageError, network
 from delaes.network import (
@@ -68,6 +69,10 @@ class TestConv:
         out = conv1d_forward(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 1.0]]),
                              np.zeros(1))
         np.testing.assert_array_equal(out, [[3.0, 5.0]])
+
+    def test_narrower_than_window_gives_empty_map(self):
+        out = conv1d_forward(np.ones((2, 2)), np.ones((4, 6)), np.zeros(4))
+        assert out.shape == (4, 0)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(13)
@@ -152,11 +157,10 @@ class TestMaxpool:
         fm[8, :, 3] = np.where(np.arange(width) % 2, 0.0, -0.0)
         lengths = np.full(batch, width)
         lengths[[1, 4, 6, 7]] = width // 2, 2, 0, width - 1
-        valid = np.arange(width) < lengths[:, None]
         pooled, offset, pooled_lengths = _maxpool_batch(fm, lengths, pool, stride)
         pooled_valid = np.arange(offset.shape[1]) < pooled_lengths[:, None]
         want_pooled, want_source, want_valid = maxpool_batch_loop(
-            fm, valid, pool, stride)
+            fm, lengths, pool, stride)
         assert pooled.dtype == want_pooled.dtype
         bits = np.dtype(f"u{pooled.itemsize}")
         np.testing.assert_array_equal(pooled.view(bits), want_pooled.view(bits))
@@ -180,8 +184,8 @@ class TestMaxpool:
         source = offset + stride * np.arange(offset.shape[1])[:, None]
         d_pooled = rng.normal(size=pooled.shape).astype(np.float32)
         d_pooled[0, 0, :2] = -0.0
-        got = _maxpool_batch_backward(d_pooled, offset, pooled_lengths, width,
-                                      pool, stride)
+        d_pooled[~pooled_valid] = 0.0  # as the GRU backward leaves it
+        got = _maxpool_batch_backward(d_pooled, offset, width, pool, stride)
         want = maxpool_backward_loop(d_pooled, source, pooled_valid, width)
         assert got.dtype == want.dtype and got.shape == want.shape
         # Bit patterns, so signed zeros count too.
@@ -362,7 +366,7 @@ class TestForward:
 
     def test_batch_mask_with_a_hole_rejected(self):
         _, _, params = tiny_model()
-        indices, mask = pad_rows([[2, 3, 4], [5, 2]], 3)
+        indices, mask = pad_rows([[2, 3, 4], [5, 2]])
         mask[0, 1] = False
         with pytest.raises(UsageError, match="padding"):
             forward_batch(indices, mask, params)
@@ -399,10 +403,7 @@ class TestForwardOracle:
     the stride, so a conv or pooled length one off shows."""
 
     @pytest.mark.parametrize("summary_mode", ["last", "mean"])
-    @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.xfail(
-        strict=True, reason="padded to the widest window, the essay gains a second "
-                            "pooled window starting at its last token")),
-        4, 5, 6, 7, 8, 9, 10, 11])
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_composed_oracles(self, n, summary_mode):
         _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
         params.config = dataclasses.replace(params.config, pool_size=3, pool_stride=2,
@@ -410,6 +411,47 @@ class TestForwardOracle:
         essay = np.random.default_rng(n).integers(2, vocab.size, n)
         assert forward(essay, params) == pytest.approx(oracle_forward(essay, params),
                                                        rel=1e-12)
+
+
+class TestBatchInvariance:
+    """An essay scores the same alone as beside any partner: padding to a
+    longer partner must not reach pooling, whatever the pool and stride."""
+
+    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
+    @pytest.mark.parametrize("pool, stride", [(3, 2), (4, 2), (3, 1), (7, 3),
+                                              (2, 2), (2, 5)])
+    def test_alone_equals_beside_partners(self, pool, stride, summary_mode):
+        _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
+        params.config = dataclasses.replace(params.config, pool_size=pool,
+                                            pool_stride=stride,
+                                            summary_mode=summary_mode)
+        rng = np.random.default_rng(pool * 10 + stride)
+        partners = [rng.integers(2, vocab.size, n) for n in (1, 5, 40)]
+        for n in range(1, 13):
+            essay = rng.integers(2, vocab.size, n)
+            alone = forward(essay, params)
+            for partner in partners:
+                yhat, _ = forward_batch(*pad_rows([essay, partner]), params)
+                assert yhat[0] == pytest.approx(alone, rel=1e-12), (n, len(partner))
+
+
+class TestPoolingIgnoresPadding:
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(0, 30), pool=st.integers(1, 8), stride=st.integers(1, 8),
+           pad=st.integers(0, 11), seed=st.integers(0, 2**32 - 1))
+    def test_padded_row_pools_like_its_unpadded_map(self, c, pool, stride, pad, seed):
+        rng = np.random.default_rng(seed)
+        # Small integers make exact ties common; junk padding would win if seen.
+        fm = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0, -np.inf, np.nan], size=(1, c + pad, 3),
+                        p=[0.18] * 5 + [0.05] * 2)
+        fm[0, c:] = rng.choice([np.nan, np.inf, 1e300, 0.0], size=(pad, 3))
+        pooled, _, pooled_lengths = _maxpool_batch(fm, np.array([c]), pool, stride)
+        want, _, want_lengths = _maxpool_batch(fm[:, :c], np.array([c]), pool, stride)
+        n = int(want_lengths[0])
+        assert pooled_lengths[0] == n
+        np.testing.assert_array_equal(pooled[0, :n].view(np.uint64),
+                                      want[0, :n].view(np.uint64))
+        np.testing.assert_array_equal(pooled[0, n:], 0.0)
 
 
 class TestActiveSpanScan:
@@ -469,7 +511,7 @@ class TestStackedConv:
         if block_bytes is not None:  # one batch row per gather-GEMM-scatter block
             monkeypatch.setattr(network, "_CONV_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(41)
-        indices, mask = pad_rows([[3, 4, 5, 6, 7, 8, 9], [3, 4], [5, 6, 7, 8]], 4)
+        indices, mask = pad_rows([[3, 4, 5, 6, 7, 8, 9], [3, 4], [5, 6, 7, 8]])
         emb = rng.normal(size=(*indices.shape, self.DIM))
         emb[~mask] = 0.0
         # Row 1 + i of the table is flat position i of the batch; row 0 is PAD.
@@ -503,7 +545,7 @@ class TestRowOrder:
         # Lengths 6, 3, 9, 3, 1, 6: ties, and a row shorter than the widest window.
         rows = [[int(t) for t in rng.integers(2, vocab.size, n)]
                 for n in (6, 3, 9, 3, 1, 6)]
-        indices, mask = pad_rows(rows, 3)
+        indices, mask = pad_rows(rows)
         targets = rng.uniform(0, 1, len(rows))
         drop_mask = make_drop_mask(rng, (len(rows), summary_width(params.config)),
                                    0.4, np.float64)

@@ -47,10 +47,6 @@ class TestMakeBatches:
         seen = [eid for b in batches for eid in b.essay_ids]
         assert sorted(seen) == [e.essay_id for e in corpus]
 
-    def test_min_length_respected(self, corpus, vocab):
-        batches = make_batches(corpus, vocab, 4, shuffle_seed=0, min_length=40)
-        assert all(b.indices.shape[1] == 40 for b in batches)
-
     def test_empty_set(self, corpus, vocab):
         empty = corpus.subset([])
         assert make_batches(empty, vocab, 4, shuffle_seed=0) == []
