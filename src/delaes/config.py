@@ -35,7 +35,6 @@ class TrainConfig:
     min_count: int = 1
     val_fraction: float = 0.1
     reshuffle_each_epoch: bool = True
-    summary_mode: str = "last"
     trainable_embeddings: bool = True
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ class TrainConfig:
             raise UsageError("seed must be >= 0")
         if not 0.0 < self.val_fraction < 1.0:
             raise UsageError("val_fraction must lie in (0, 1)")
-        if self.summary_mode not in ("last", "mean"):
-            raise UsageError("summary_mode must be 'last' or 'mean'")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -72,7 +69,10 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         """Inverse of :meth:`to_dict`; unknown keys and values not of their
-        field's JSON type raise :class:`FormatError`."""
+        field's JSON type raise :class:`FormatError`.  A ``summary_mode`` of
+        ``"last"``, the only summary the network has, is dropped."""
+        if data.get("summary_mode") == "last":
+            data = {key: value for key, value in data.items() if key != "summary_mode"}
         types = _field_types()
         unknown = sorted(set(data) - set(types))
         if unknown:

@@ -338,21 +338,33 @@ def _essay_tokens(row: TsvRow, essay_id: int) -> tuple[str, ...]:
     return tokens
 
 
+def _prompt_rows(path, rows: Sequence[TsvRow], prompt_id: int):
+    """Yield ``(essay_id, row)`` for each row of ``prompt_id``; an essay id
+    repeated within the prompt raises :class:`FormatError` naming ``path``."""
+    seen = set()
+    for row in rows:
+        if row.integer("essay_set") != prompt_id:
+            continue
+        essay_id = row.integer("essay_id")
+        if essay_id in seen:
+            raise FormatError(f"{path}: duplicate essay id {essay_id}")
+        seen.add(essay_id)
+        yield essay_id, row
+
+
 def load_dataset(path, prompt_id: int, score_range: ScoreRange,
                  encoding: str = "latin1") -> EssaySet:
     """Load the essays of one prompt from an ASAP-format TSV file.
 
     Rows whose ``essay_set`` differs from ``prompt_id`` are skipped.  A file
     with a header but zero matching rows yields an empty :class:`EssaySet`.
+    An essay id repeated within the prompt raises :class:`FormatError`.
     """
     rows = read_tsv(path, _REQUIRED_COLUMNS, encoding)
     if rows is None:
         raise FormatError(f"{path}: empty file, header row required")
     essays = []
-    for row in rows:
-        if row.integer("essay_set") != prompt_id:
-            continue
-        essay_id = row.integer("essay_id")
+    for essay_id, row in _prompt_rows(path, rows, prompt_id):
         raw_score = row.integer("domain1_score")
         if not score_range.min_score <= raw_score <= score_range.max_score:
             raise ScoreRangeError(
@@ -376,14 +388,6 @@ def load_unscored(path, prompt_id: int, encoding: str = "latin1"
     A file with no content at all is treated as zero rows.  An essay id
     repeated within the prompt raises :class:`FormatError`.
     """
-    pairs = []
-    seen = set()
-    for row in read_tsv(path, ("essay_id", "essay_set", "essay"), encoding) or ():
-        if row.integer("essay_set") != prompt_id:
-            continue
-        essay_id = row.integer("essay_id")
-        if essay_id in seen:
-            raise FormatError(f"{path}: duplicate essay id {essay_id}")
-        seen.add(essay_id)
-        pairs.append((essay_id, _essay_tokens(row, essay_id)))
-    return pairs
+    rows = read_tsv(path, ("essay_id", "essay_set", "essay"), encoding) or ()
+    return [(essay_id, _essay_tokens(row, essay_id))
+            for essay_id, row in _prompt_rows(path, rows, prompt_id)]

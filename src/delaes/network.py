@@ -196,14 +196,15 @@ def conv1d_forward(matrix: np.ndarray, weights: np.ndarray,
 def maxpool(feature_map: np.ndarray, pool: int, stride: int) -> np.ndarray:
     """Per-filter max over windows of ``pool`` positions advancing by ``stride``.
 
-    The final partial window is kept; a pool at least as wide as the input
-    degenerates to a global max over time.
+    The final partial window is kept, and only windows that start inside the
+    input exist; a pool at least as wide as the input degenerates to a
+    global max over time.
     """
     if pool < 1 or stride < 1:
         raise DomainError("pool and stride must be >= 1")
     fm = np.asarray(feature_map)[None].transpose(0, 2, 1)  # (1, width, filters)
-    pooled, _, _ = _maxpool_batch(fm, np.array([fm.shape[1]]), pool, stride)
-    return pooled[0].T
+    pooled, _, lengths = _maxpool_batch(fm, np.array([fm.shape[1]]), pool, stride)
+    return pooled[0, :lengths[0]].T
 
 
 def gru_step(x_t: np.ndarray, h_prev: np.ndarray,
@@ -239,8 +240,7 @@ def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
         raise UsageError("mask length must equal sequence length")
     gates = {f"{direction}.{name}": p[name]
              for direction, p in (("fw", fw), ("bw", bw)) for name in _GATE_NAMES}
-    summary, cache = _bigru_batch(seq[None], _prefix_lengths(mask[None]), gates, "",
-                                  "last")
+    summary, cache = _bigru_batch(seq[None], _prefix_lengths(mask[None]), gates, "")
     outputs = np.concatenate([cache["fw"]["h"][1:, 0], cache["bw"]["h"][1:, 0][::-1]],
                              axis=1)
     return outputs, summary[0]
@@ -406,7 +406,7 @@ def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int):
     Returns pooled values (B, T, F), each window's argmax offset (B, T, F;
     the smallest unsigned integer type that holds ``pool - 1``) and pooled
     lengths (B,).  A row of ``c`` positions gets the windows of its
-    unpadded map (:func:`maxpool`) that start inside it,
+    unpadded map (:func:`maxpool`), those that start inside it,
     ``min(ceil(c / stride), max(1, ceil((c - pool) / stride) + 1))``, none
     for ``c = 0``; the windows after them pool to zero.  Every position past
     a row's length holds -inf, so it never wins: per offset inside the
@@ -521,15 +521,14 @@ def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray]
 
 
 def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
-                       d_final: np.ndarray, d_steps: np.ndarray | None = None,
-                       prefix: str = ""):
+                       d_final: np.ndarray, prefix: str = ""):
     """Reverse-mode pass through one scan direction.
 
     ``gates`` and ``prefix`` name the direction's matrices as in
     :func:`_gru_scan`.  ``d_final`` is the gradient on the state after the
-    last step; ``d_steps`` optionally adds per-step output gradients.
-    Returns the input gradient (T, B, I) and the gate gradients under the
-    same ``prefix + name`` keys, in gate order.  Step ``t`` works on the
+    last step, the only state the channel summary reads.  Returns the input
+    gradient (T, B, I) and the gate gradients under the same
+    ``prefix + name`` keys, in gate order.  Step ``t`` works on the
     first ``active[t]`` rows, as the forward scan did; the other rows carry
     their gradient.  The carried state gradient is flushed to zero below
     ``finfo.tiny / finfo.eps`` after every step (see the note by
@@ -546,8 +545,6 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     g_w_z, g_w_r, g_w_h = (np.zeros_like(w) for w in (w_z, w_r, w_h))
     g_u_z, g_u_r, g_u_h = (np.zeros_like(u) for u in (u_z, u_r, u_h))
     for t in range(steps - 1, -1, -1):
-        if d_steps is not None:
-            dh = dh + d_steps[t]
         a = active[t]
         if not a:
             continue
@@ -579,54 +576,33 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     return dx, {prefix + name: g for name, g in zip(_GATE_NAMES, grads)}
 
 
-def _mean_weights(lengths: np.ndarray, steps: int, dtype):
-    """Mean-summary weights (T, B, 1), 1 at real steps, and divisors (B, 1)."""
-    weights = (np.arange(steps)[:, None] < lengths).astype(dtype)[:, :, None]
-    return weights, np.maximum(lengths, 1).astype(dtype)[:, None]
-
-
 def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
-                 tensors: Mapping[str, np.ndarray], prefix: str,
-                 summary_mode: str):
+                 tensors: Mapping[str, np.ndarray], prefix: str):
     """Both directions over batch-major pooled features (B, T, F), rows
     sorted by descending ``lengths``.
 
     The directions' matrices are ``tensors[prefix + "fw." + gate]`` and
-    ``tensors[prefix + "bw." + gate]``.  Returns the channel summary (B, 2H)
-    and the two scan caches.
+    ``tensors[prefix + "bw." + gate]``.  Returns the channel summary (B, 2H),
+    each row's forward state after its last real step beside its backward
+    state after its first, and the two scan caches.
     """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
     active = (lengths > np.arange(x.shape[0])[:, None]).sum(axis=1)
     fw = _gru_scan(x, active, tensors, prefix + "fw.")
     bw = _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.")
-    if summary_mode == "last":
-        summary = np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1)
-    else:
-        weights, counts = _mean_weights(lengths, x.shape[0], x.dtype)
-        mean_fw = (fw["h"][1:] * weights).sum(axis=0) / counts
-        mean_bw = (bw["h"][1:] * weights[::-1]).sum(axis=0) / counts
-        summary = np.concatenate([mean_fw, mean_bw], axis=1)
-    return summary, {"fw": fw, "bw": bw}
+    return np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1), {"fw": fw, "bw": bw}
 
 
-def _bigru_batch_backward(cache: dict, lengths: np.ndarray,
-                          tensors: Mapping[str, np.ndarray], prefix: str,
-                          d_summary: np.ndarray, summary_mode: str
-                          ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray], prefix: str,
+                          d_summary: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gradient of the channel summary w.r.t. pooled inputs, plus the gate
     gradients of both directions keyed by their tensor names (forward
-    direction first).  ``lengths`` are the rows' pooled lengths."""
+    direction first).  The summary's two halves are the gradients on the
+    final states of the forward and backward scans."""
     hidden = d_summary.shape[1] // 2
-    d_fw, d_bw = d_summary[:, :hidden], d_summary[:, hidden:]
     fw, bw = cache["fw"], cache["bw"]
-    steps_fw = steps_bw = None
-    if summary_mode == "mean":
-        weights, counts = _mean_weights(lengths, len(fw["active"]), fw["x"].dtype)
-        steps_fw = weights * (d_fw / counts)[None]
-        steps_bw = weights[::-1] * (d_bw / counts)[None]
-        d_fw = d_bw = np.zeros_like(d_fw)
-    dx_fw, g_fw = _gru_scan_backward(fw, tensors, d_fw, steps_fw, prefix + "fw.")
-    dx_bw, g_bw = _gru_scan_backward(bw, tensors, d_bw, steps_bw, prefix + "bw.")
+    dx_fw, g_fw = _gru_scan_backward(fw, tensors, d_summary[:, :hidden], prefix + "fw.")
+    dx_bw, g_bw = _gru_scan_backward(bw, tensors, d_summary[:, hidden:], prefix + "bw.")
     g_fw.update(g_bw)
     d_pooled = (dx_fw + dx_bw[::-1]).transpose(1, 0, 2)
     return d_pooled, g_fw
@@ -659,11 +635,9 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
         pooled, offset, pooled_lengths = _maxpool_batch(
             np.maximum(pre, 0), np.maximum(lengths - k + 1, 0),
             cfg.pool_size, cfg.pool_stride)
-        summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors,
-                                        f"gru{k}.", cfg.summary_mode)
+        summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors, f"gru{k}.")
         summaries.append(summary)
-        channels.append({"pre": pre, "offset": offset, "lengths": pooled_lengths,
-                         "bigru": bicache})
+        channels.append({"pre": pre, "offset": offset, "bigru": bicache})
     concat = np.concatenate(summaries, axis=1)
     dropped = concat * drop_mask if drop_mask is not None else concat
     logits = dropped @ tensors["dense.weights"] + tensors["dense.bias"][0]
@@ -716,9 +690,8 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
     for ci, k in enumerate(cfg.windows):
         # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
         ch_cache, channels[ci] = channels[ci], None
-        d_pooled, g = _bigru_batch_backward(
-            ch_cache.pop("bigru"), ch_cache["lengths"], tensors, f"gru{k}.",
-            d_concat[:, ci * h2:(ci + 1) * h2], cfg.summary_mode)
+        d_pooled, g = _bigru_batch_backward(ch_cache.pop("bigru"), tensors, f"gru{k}.",
+                                            d_concat[:, ci * h2:(ci + 1) * h2])
         gru_grads.append(g)
         pre = ch_cache["pre"]
         # Real windows pool from real positions: padding gets no gradient.

@@ -28,15 +28,15 @@ def conv_relu_oracle(matrix, weights, bias, window):
 
 
 def maxpool_oracle(feature_map, pool, stride):
-    """Loop-based pooling with the final partial window kept."""
+    """Loop-based pooling with the final partial window kept; only windows
+    that start inside the map exist."""
     filters, width = feature_map.shape
-    n_out = max(1, math.ceil((width - pool) / stride) + 1)
+    n_out = min(math.ceil(width / stride), max(1, math.ceil((width - pool) / stride) + 1))
     out = np.zeros((filters, n_out))
     for f in range(filters):
         for j in range(n_out):
             lo = j * stride
-            window = feature_map[f, lo:lo + pool]
-            out[f, j] = max(window) if window.size else 0.0
+            out[f, j] = max(feature_map[f, lo:lo + pool])
     return out
 
 
@@ -80,7 +80,7 @@ def relative_error(a: float, b: float, floor: float = 1e-8) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def gru_scan_backward_unflushed(cache, gates, d_final, d_steps=None):
+def gru_scan_backward_unflushed(cache, gates, d_final):
     """Backprop through one GRU scan direction with no flush of tiny values.
 
     The same arithmetic, in the same order, as the library's reverse scan
@@ -96,8 +96,6 @@ def gru_scan_backward_unflushed(cache, gates, d_final, d_steps=None):
     dx = np.zeros_like(x)
     grads = {name: np.zeros_like(w) for name, w in gates.items()}
     for t in reversed(range(x.shape[0])):
-        if d_steps is not None:
-            dh = dh + d_steps[t]
         m = valid[t][:, None].astype(x.dtype)
         z, r, c, h_prev = zs[t], rs[t], cs[t], hs[t]
         d_new = dh * m
@@ -131,7 +129,7 @@ def maxpool_batch_loop(fm, lengths, pool, stride):
     Returns pooled values, argmax source positions and window validity, as
     the library's offset-loop pooling must reproduce them bit for bit.  A
     row's valid windows are those that :func:`maxpool_oracle` gives its
-    unpadded map and that start inside it; the others pool to zero.
+    unpadded map, the ones that start inside it; the others pool to zero.
     Positions past a row's length hold -inf, and a window starting past the
     input keeps source 0.
     """

@@ -85,6 +85,21 @@ def model_path(data_files, tmp_path_factory):
     return out
 
 
+def rewrite_metadata(model_path, out, change):
+    """Copy an artifact to ``out`` with ``change`` applied to its metadata."""
+    raw = model_path.read_bytes()
+    meta_len = struct.unpack_from("<I", raw, 8)[0]
+    meta = json.loads(raw[12:12 + meta_len])
+    change(meta)
+    blob = json.dumps(meta, sort_keys=True).encode()
+    out.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len:])
+    return out
+
+
+def predict_args(model, data, out):
+    return ["predict", "--model", str(model), "--data", str(data), "--out", str(out)]
+
+
 class TestPredict:
     def test_round_trip_matches_in_memory(self, data_files, model_path, tmp_path):
         out = tmp_path / "pred.csv"
@@ -148,19 +163,28 @@ class TestPredict:
             "string-embedding-trainable", "bool-score-min", "bool-prompt-id"])
     def test_malformed_metadata_exits_1(self, model_path, data_files, tmp_path,
                                         capsys, corrupt):
-        raw = model_path.read_bytes()
-        meta_len = struct.unpack_from("<I", raw, 8)[0]
-        meta = json.loads(raw[12:12 + meta_len])
-        corrupt(meta)
-        blob = json.dumps(meta).encode()
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
-                        + raw[12 + meta_len:])
-        assert main(["predict", "--model", str(bad),
-                     "--data", str(data_files["data"]),
-                     "--out", str(tmp_path / "p.csv")]) == 1
+        bad = rewrite_metadata(model_path, tmp_path / "bad.bin", corrupt)
+        assert main(predict_args(bad, data_files["data"], tmp_path / "p.csv")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_artifact_naming_the_last_state_summary_scores_the_same(
+            self, model_path, data_files, tmp_path):
+        # An artifact may record the summary as a config key; "last" is the
+        # only summary there is.
+        named = rewrite_metadata(model_path, tmp_path / "named.bin",
+                                 lambda meta: meta["config"].update(summary_mode="last"))
+        assert named.read_bytes() != model_path.read_bytes()
+        for model, out in ((model_path, tmp_path / "a.csv"), (named, tmp_path / "b.csv")):
+            assert main(predict_args(model, data_files["data"], out)) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_artifact_with_a_mean_summary_exits_1(self, model_path, data_files, tmp_path,
+                                                  capsys):
+        mean = rewrite_metadata(model_path, tmp_path / "mean.bin",
+                                lambda meta: meta["config"].update(summary_mode="mean"))
+        assert main(predict_args(mean, data_files["data"], tmp_path / "p.csv")) == 1
+        assert "summary_mode" in capsys.readouterr().err
 
     def test_duplicate_essay_id_exits_1(self, model_path, tmp_path, capsys):
         data = tmp_path / "dup.tsv"

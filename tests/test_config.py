@@ -25,14 +25,12 @@ class TestApplyEntries:
             "epochs": "5",
             "grad_clip": "2.5",
             "reshuffle_each_epoch": "false",
-            "summary_mode": "mean",
         })
         assert cfg.windows == (2, 4)
         assert cfg.dropout == 0.1
         assert cfg.epochs == 5
         assert cfg.grad_clip == 2.5
         assert cfg.reshuffle_each_epoch is False
-        assert cfg.summary_mode == "mean"
 
     def test_grad_clip_none(self):
         cfg = apply_config_entries(TrainConfig(grad_clip=1.0), {"grad_clip": "none"})
@@ -61,8 +59,14 @@ class TestValidation:
             TrainConfig(dropout=1.0)
 
     def test_bad_summary_mode(self):
-        with pytest.raises(UsageError):
-            TrainConfig(summary_mode="attention")
+        # The head reads the last states only: no other summary is accepted.
+        data = TrainConfig().to_dict()
+        for value in ("mean", "attention"):
+            data["summary_mode"] = value
+            with pytest.raises(FormatError, match="summary_mode"):
+                TrainConfig.from_dict(data)
+        with pytest.raises(FormatError, match="unknown config key 'summary_mode'"):
+            apply_config_entries(TrainConfig(), {"summary_mode": "last"})
 
     def test_round_trip_through_dict(self):
         cfg = TrainConfig(windows=(2, 5), epochs=3, grad_clip=0.5)
@@ -112,6 +116,11 @@ class TestFromDict:
         data[key] = value
         with pytest.raises(FormatError, match=key):
             TrainConfig.from_dict(data)
+
+    def test_last_state_summary_mode_is_dropped(self):
+        data = TrainConfig(epochs=3).to_dict()
+        assert "summary_mode" not in data
+        assert TrainConfig.from_dict({**data, "summary_mode": "last"}) == TrainConfig(epochs=3)
 
     def test_int_accepted_for_float_field(self):
         data = TrainConfig().to_dict()

@@ -138,8 +138,9 @@ class TestLoadDataset:
         assert essay.tokens[0] == "dear"
 
     def test_filters_other_prompts(self, tmp_path):
-        path = write(tmp_path / "d.tsv",
-                     f"{TSV_HEADER}\n1\t1\thello there\t3\n2\t2\tbye now\t4\n")
+        # Essay ids are unique per prompt, so id 1 may recur in prompt 2.
+        path = write(tmp_path / "d.tsv", f"{TSV_HEADER}\n1\t1\thello there\t3\n"
+                     "2\t2\tbye now\t4\n1\t2\tagain\t4\n")
         loaded = load_dataset(path, 1, ScoreRange(1, 2, 4))
         assert [e.essay_id for e in loaded] == [1]
 
@@ -147,6 +148,12 @@ class TestLoadDataset:
         path = write(tmp_path / "d.tsv", f"{TSV_HEADER}\n5\t2\tsome text\t4\n")
         loaded = load_dataset(path, 1, ScoreRange(1, 2, 4))
         assert len(loaded) == 0
+
+    def test_duplicate_id_is_a_format_error_naming_the_file(self, tmp_path):
+        path = write(tmp_path / "dup.tsv", f"{TSV_HEADER}\n1\t1\tfirst essay\t3\n"
+                     "2\t1\tsecond\t4\n1\t1\tagain\t2\n")
+        with pytest.raises(FormatError, match=r"dup\.tsv: duplicate essay id 1"):
+            load_dataset(path, 1, ScoreRange(1, 2, 4))
 
     def test_missing_column_named(self, tmp_path):
         path = write(tmp_path / "d.tsv",

@@ -43,14 +43,6 @@ class TestEndToEndGradients:
             one_essay_batch(vocab, ESSAY[:4], extra_pad=3), params, dropout_seed=3)
         assert report.max_rel_error < 1e-4
 
-    def test_mean_summary_mode(self):
-        import dataclasses
-        _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
-        params.config = dataclasses.replace(params.config, summary_mode="mean")
-        report = check_gradients(one_essay_batch(vocab, ESSAY), params,
-                                 dropout_seed=5)
-        assert report.max_rel_error < 1e-4
-
 
 class TestGruScanIsolation:
     """The recurrence checked alone, with a quadratic head on the final state."""
@@ -109,25 +101,16 @@ class TestVanishingGradientFlush:
 
     STEPS, BATCH, INPUTS, HIDDEN = 320, 3, 4, 8
 
-    def run(self, dtype, summary_mode):
+    def run(self, dtype):
         rng = np.random.default_rng(0)
         direction = random_direction(rng, self.HIDDEN, self.INPUTS, scale=0.5)
         gates = {name: w.astype(dtype) for name, w in direction.items()}
         x = rng.normal(size=(self.STEPS, self.BATCH, self.INPUTS)).astype(dtype)
-        d_out = rng.normal(size=(self.BATCH, self.HIDDEN))
+        d_final = rng.normal(size=(self.BATCH, self.HIDDEN)).astype(dtype)
         cache = _gru_scan(x, np.full(self.STEPS, self.BATCH), gates)
-        if summary_mode == "last":
-            d_final, d_steps = d_out.astype(dtype), None
-        else:
-            # Per-step output gradients, as the mean summary supplies them,
-            # on the final 10 steps only.
-            d_final = np.zeros((self.BATCH, self.HIDDEN), dtype=dtype)
-            d_steps = np.zeros((self.STEPS, self.BATCH, self.HIDDEN), dtype=dtype)
-            d_steps[-10:] = (d_out / 10).astype(dtype)
-        got = _gru_scan_backward(cache, gates, d_final, d_steps)
+        got = _gru_scan_backward(cache, gates, d_final)
         valid = np.ones((self.STEPS, self.BATCH), dtype=bool)
-        want = gru_scan_backward_unflushed({**cache, "valid": valid}, gates,
-                                           d_final, d_steps)
+        want = gru_scan_backward_unflushed({**cache, "valid": valid}, gates, d_final)
         return got, want
 
     @staticmethod
@@ -136,9 +119,8 @@ class TestVanishingGradientFlush:
         return [("dx", dx, ref_dx)] + [(name, grads[name], ref_grads[name])
                                        for name in ref_grads]
 
-    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
-    def test_float32_flushes_and_matches_reference(self, summary_mode):
-        got, want = self.run(np.float32, summary_mode)
+    def test_float32_flushes_and_matches_reference(self):
+        got, want = self.run(np.float32)
         info = np.finfo(np.float32)
         threshold = info.tiny / info.eps
         assert _subnormal_count(want[0]) > 0, "reference gradient did not vanish"
@@ -152,9 +134,8 @@ class TestVanishingGradientFlush:
             np.testing.assert_array_equal(value[large], reference[large],
                                           err_msg=name)
 
-    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
-    def test_float64_is_bitwise_reference(self, summary_mode):
-        got, want = self.run(np.float64, summary_mode)
+    def test_float64_is_bitwise_reference(self):
+        got, want = self.run(np.float64)
         for name, value, reference in self.pairs(got, want):
             np.testing.assert_array_equal(value, reference, err_msg=name)
 
@@ -182,15 +163,11 @@ class TestBackwardContracts:
             np.testing.assert_allclose(grads_two[name], grads_one[name],
                                        rtol=1e-12, atol=1e-15, err_msg=name)
 
-    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
-    def test_batch_rows_are_isolated(self, summary_mode):
+    def test_batch_rows_are_isolated(self):
         # 19 essays of mixed lengths cross a 16-row block of the pool-scatter
         # and pad differently; the mean loss makes the batch gradient the
         # mean of the single-essay gradients.
-        import dataclasses
         _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
-        params.config = dataclasses.replace(params.config,
-                                            summary_mode=summary_mode)
         rng = np.random.default_rng(4)
         rows = [rng.integers(1, vocab.size, int(n)) for n in rng.integers(2, 23, 19)]
         targets = rng.random(len(rows))

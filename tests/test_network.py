@@ -125,16 +125,15 @@ class TestMaxpool:
         for _ in range(25):
             width = int(rng.integers(1, 12))
             pool = int(rng.integers(1, 6))
-            stride = int(rng.integers(1, pool + 1))
+            stride = int(rng.integers(1, pool + 4))  # up to 3 wider than the pool
             fm = rng.normal(size=(3, width))
             np.testing.assert_allclose(maxpool(fm, pool, stride),
                                        maxpool_oracle(fm, pool, stride))
 
-    def test_stride_beyond_pool_pads_empty_windows_with_zero(self):
-        # width formula yields 3 windows at starts 0, 3, 6; the last starts
-        # past the input and contributes a zero column
+    def test_stride_beyond_pool_keeps_only_windows_inside_the_input(self):
+        # Windows start at 0 and 3; one at 6 would start past the input.
         out = maxpool(np.array([[5.0, 1.0, 1.0, 2.0, 1.0]]), 1, 3)
-        np.testing.assert_array_equal(out, [[5.0, 2.0, 0.0]])
+        np.testing.assert_array_equal(out, [[5.0, 2.0]])
 
     def test_rejects_bad_pool(self):
         with pytest.raises(DomainError):
@@ -387,44 +386,52 @@ def oracle_forward(essay, params) -> float:
         valid = np.ones(pooled.shape[:2], dtype=bool)
         fw, bw = ({gate: t[f"gru{k}.{direction}.{gate}"] for gate in GATES}
                   for direction in ("fw", "bw"))
-        h_fw = gru_scan_full(pooled, valid, fw)["h"][1:, 0]
-        h_bw = gru_scan_full(pooled[::-1], valid, bw)["h"][1:, 0]
-        if cfg.summary_mode == "last":
-            summaries.append(np.concatenate([h_fw[-1], h_bw[-1]]))
-        else:
-            summaries.append(np.concatenate([h_fw.mean(axis=0), h_bw.mean(axis=0)]))
+        h_fw = gru_scan_full(pooled, valid, fw)["h"][-1, 0]
+        h_bw = gru_scan_full(pooled[::-1], valid, bw)["h"][-1, 0]
+        summaries.append(np.concatenate([h_fw, h_bw]))
     logit = np.concatenate(summaries) @ t["dense.weights"] + t["dense.bias"][0]
     return 1.0 / (1.0 + np.exp(-logit))
 
 
 class TestForwardOracle:
-    """:func:`forward` against :func:`oracle_forward` with windows 1/2/4 and
-    pool 3/stride 2: the lengths end at every residue modulo each window and
-    the stride, so a conv or pooled length one off shows."""
+    """:func:`forward` against :func:`oracle_forward` with windows 1/2/4: the
+    lengths end at every residue modulo each window and the stride, so a
+    conv or pooled length one off shows.  Test ids end in the summary the
+    head reads, the last forward and backward states."""
 
-    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
-    @pytest.mark.parametrize("n", range(1, 12))
-    def test_matches_composed_oracles(self, n, summary_mode):
+    @staticmethod
+    def check(n, pool, stride):
         _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
-        params.config = dataclasses.replace(params.config, pool_size=3, pool_stride=2,
-                                            summary_mode=summary_mode)
+        params.config = dataclasses.replace(params.config, pool_size=pool,
+                                            pool_stride=stride)
         essay = np.random.default_rng(n).integers(2, vocab.size, n)
         assert forward(essay, params) == pytest.approx(oracle_forward(essay, params),
                                                        rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 12), ids=lambda n: f"{n}-last")
+    def test_matches_composed_oracles(self, n):
+        self.check(n, pool=3, stride=2)
+
+    @pytest.mark.parametrize("pool, stride", [(2, 5), (1, 3)])
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_stride_beyond_pool_matches_composed_oracles(self, n, pool, stride):
+        self.check(n, pool, stride)
+
 
 class TestBatchInvariance:
     """An essay scores the same alone as beside any partner: padding to a
-    longer partner must not reach pooling, whatever the pool and stride."""
+    longer partner must not reach pooling, whatever the pool and stride.
+    Test ids end in the summary the head reads, as in
+    :class:`TestForwardOracle`."""
 
-    @pytest.mark.parametrize("summary_mode", ["last", "mean"])
-    @pytest.mark.parametrize("pool, stride", [(3, 2), (4, 2), (3, 1), (7, 3),
-                                              (2, 2), (2, 5)])
-    def test_alone_equals_beside_partners(self, pool, stride, summary_mode):
+    POOLS = [(3, 2), (4, 2), (3, 1), (7, 3), (2, 2), (2, 5)]
+
+    @pytest.mark.parametrize("pool, stride", POOLS,
+                             ids=[f"{pool}-{stride}-last" for pool, stride in POOLS])
+    def test_alone_equals_beside_partners(self, pool, stride):
         _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
         params.config = dataclasses.replace(params.config, pool_size=pool,
-                                            pool_stride=stride,
-                                            summary_mode=summary_mode)
+                                            pool_stride=stride)
         rng = np.random.default_rng(pool * 10 + stride)
         partners = [rng.integers(2, vocab.size, n) for n in (1, 5, 40)]
         for n in range(1, 13):
@@ -482,16 +489,14 @@ class TestActiveSpanScan:
                                            rtol=1e-12, atol=1e-15, err_msg=name)
             np.testing.assert_array_equal(got["h"][:, 4:], 0.0)
 
-    @pytest.mark.parametrize("per_step", [False, True])
-    def test_backward_matches_full_width_reference(self, per_step):
+    def test_backward_matches_full_width_reference(self):
         rng, gates, directions = self.setup()
         for x, valid in directions:
             d_final = rng.normal(size=(self.BATCH, self.HIDDEN))
-            d_steps = rng.normal(size=(self.STEPS, self.BATCH, self.HIDDEN)) if per_step else None
             dx, grads = _gru_scan_backward(_gru_scan(x, valid.sum(axis=1), gates), gates,
-                                           d_final, d_steps)
+                                           d_final)
             want_dx, want_grads = gru_scan_backward_unflushed(
-                gru_scan_full(x, valid, gates), gates, d_final, d_steps)
+                gru_scan_full(x, valid, gates), gates, d_final)
             np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-15)
             assert list(grads) == list(GATES)
             for name in GATES:
