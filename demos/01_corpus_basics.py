@@ -57,7 +57,7 @@ with tempfile.TemporaryDirectory() as tmp:
 print(f"loaded {len(essays)} essays for prompt 1 (the prompt-2 row is skipped)")
 for essay in essays:
     print(f"  id={essay.essay_id} raw={essay.raw_score} "
-          f"normalized={essay.normalized_score:.2f} "
+          f"normalized={normalize_score(essay.raw_score, essays.score_range):.2f} "
           f"first tokens={list(essay.tokens[:4])}")
 print()
 

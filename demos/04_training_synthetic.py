@@ -26,8 +26,8 @@ def make_corpus(n, seed):
                 for pos in rng.choice(length, size=3, replace=False):
                     tokens[int(pos)] = keyword
         score = sum(keyword in tokens for keyword in KEYWORDS)
-        essays.append(Essay(i + 1, 1, tuple(tokens), score, score / 2))
-    return EssaySet(1, tuple(essays), ScoreRange(1, 0, 2))
+        essays.append(Essay(i + 1, tuple(tokens), score))
+    return EssaySet(tuple(essays), ScoreRange(1, 0, 2))
 
 
 def make_table(dim, seed):

@@ -58,7 +58,6 @@ from .network import (
 from .training import (
     Batch,
     EpochRecord,
-    RmsPropState,
     backward,
     denormalize_predictions,
     evaluate_qwk,

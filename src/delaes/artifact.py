@@ -47,7 +47,6 @@ def save_model(params: ModelParameters, vocab: Vocabulary,
             "max": score_range.max_score,
         },
         "created": created,
-        "embedding_trainable": params.embedding_trainable,
     }
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
@@ -126,10 +125,12 @@ def load_model(path) -> ModelArtifact:
         bounds = _field(meta, "score_range", dict)
         score_range = ScoreRange(*(_field(bounds, key, int)
                                    for key in ("prompt_id", "min", "max")))
-        trainable = meta.get("embedding_trainable", True)
-        if not isinstance(trainable, bool):
-            raise FormatError("metadata field 'embedding_trainable' is not a bool")
-        params = ModelParameters(cfg, tensors, trainable, vocab)
+        # Earlier versions also recorded the config's trainable_embeddings here.
+        if meta.get("embedding_trainable", cfg.trainable_embeddings) \
+                is not cfg.trainable_embeddings:
+            raise FormatError("metadata field 'embedding_trainable' contradicts "
+                              "config field 'trainable_embeddings'")
+        params = ModelParameters(cfg, tensors, vocab=vocab)
     except DelaesError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return ModelArtifact(params=params, vocab=vocab, score_range=score_range,

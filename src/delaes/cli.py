@@ -24,6 +24,7 @@ from .corpus import (
     load_dataset,
     load_unscored,
     read_tsv,
+    text_lines,
 )
 from .embedding import load_embeddings
 from .errors import DelaesError, FormatError, UsageError
@@ -125,12 +126,12 @@ def _by_id(pairs, path) -> dict[int, int]:
 def _read_gold(path) -> dict[int, int]:
     """Gold scores from either a two-column CSV or an ASAP TSV file.
 
-    A tab in the first line selects TSV parsing; prompt filtering is not
-    applied because alignment with the prediction file is what matters.
+    A tab in the first non-blank line (read as latin-1, which decodes any
+    byte) selects TSV parsing; prompt filtering is not applied because
+    alignment with the prediction file is what matters.
     """
-    with open(path, "rb") as fh:
-        first = fh.readline()
-    if b"\t" not in first:
+    first = next(text_lines(path, "latin1"), (0, ""))[1]
+    if "\t" not in first:
         return _by_id(read_predictions(path), path)
     rows = read_tsv(path, ("essay_id", "domain1_score")) or ()
     return _by_id(((row.integer("essay_id"), row.integer("domain1_score"))

@@ -122,28 +122,20 @@ def denormalize_score(y: float, score_range: ScoreRange) -> int:
 @dataclass(frozen=True)
 class Essay:
     essay_id: int
-    prompt_id: int
     tokens: tuple[str, ...]
     raw_score: int
-    normalized_score: float
 
 
 @dataclass(frozen=True)
 class EssaySet:
-    """Ordered collection of essays for one prompt."""
+    """Ordered essays of one prompt, the ``prompt_id`` of ``score_range``."""
 
-    prompt_id: int
     essays: tuple[Essay, ...]
     score_range: ScoreRange
 
     def __post_init__(self):
         seen = set()
         for essay in self.essays:
-            if essay.prompt_id != self.prompt_id:
-                raise UsageError(
-                    f"essay {essay.essay_id} belongs to prompt {essay.prompt_id}, "
-                    f"not {self.prompt_id}"
-                )
             if essay.essay_id in seen:
                 raise UsageError(f"duplicate essay id {essay.essay_id}")
             seen.add(essay.essay_id)
@@ -157,7 +149,7 @@ class EssaySet:
     def subset(self, essay_ids: Iterable[int]) -> "EssaySet":
         wanted = set(essay_ids)
         kept = tuple(e for e in self.essays if e.essay_id in wanted)
-        return EssaySet(self.prompt_id, kept, self.score_range)
+        return EssaySet(kept, self.score_range)
 
 
 class Vocabulary:
@@ -285,6 +277,11 @@ class TsvRow:
         self._fields = fields
         self._positions = positions
 
+    @property
+    def where(self) -> str:
+        """``path:line`` of this row, for error messages."""
+        return f"{self._path}:{self._lineno}"
+
     def text(self, column: str) -> str:
         return self._fields[self._positions[column]]
 
@@ -294,8 +291,7 @@ class TsvRow:
             return int(value)
         except ValueError:
             raise FormatError(
-                f"{self._path}:{self._lineno}: cannot parse {column}={value!r} "
-                f"as an integer"
+                f"{self.where}: cannot parse {column}={value!r} as an integer"
             ) from None
 
 
@@ -334,7 +330,7 @@ def read_tsv(path, required: Sequence[str], encoding: str = "latin1"
 def _essay_tokens(row: TsvRow, essay_id: int) -> tuple[str, ...]:
     tokens = tuple(tokenize(row.text("essay")))
     if not tokens:
-        raise FormatError(f"essay {essay_id}: no tokens after tokenization")
+        raise FormatError(f"{row.where}: essay {essay_id}: no tokens after tokenization")
     return tokens
 
 
@@ -356,10 +352,14 @@ def load_dataset(path, prompt_id: int, score_range: ScoreRange,
                  encoding: str = "latin1") -> EssaySet:
     """Load the essays of one prompt from an ASAP-format TSV file.
 
-    Rows whose ``essay_set`` differs from ``prompt_id`` are skipped.  A file
-    with a header but zero matching rows yields an empty :class:`EssaySet`.
-    An essay id repeated within the prompt raises :class:`FormatError`.
+    ``prompt_id`` must be ``score_range.prompt_id``; rows of other prompts
+    are skipped.  A file with a header but zero matching rows yields an empty
+    :class:`EssaySet`.  An essay id repeated within the prompt raises
+    :class:`FormatError`.
     """
+    if prompt_id != score_range.prompt_id:
+        raise UsageError(f"score range is for prompt {score_range.prompt_id}, "
+                         f"not {prompt_id}")
     rows = read_tsv(path, _REQUIRED_COLUMNS, encoding)
     if rows is None:
         raise FormatError(f"{path}: empty file, header row required")
@@ -368,17 +368,11 @@ def load_dataset(path, prompt_id: int, score_range: ScoreRange,
         raw_score = row.integer("domain1_score")
         if not score_range.min_score <= raw_score <= score_range.max_score:
             raise ScoreRangeError(
-                f"essay {essay_id}: score {raw_score} outside range "
+                f"{row.where}: essay {essay_id}: score {raw_score} outside range "
                 f"{score_range.min_score}-{score_range.max_score}"
             )
-        essays.append(Essay(
-            essay_id=essay_id,
-            prompt_id=prompt_id,
-            tokens=_essay_tokens(row, essay_id),
-            raw_score=raw_score,
-            normalized_score=normalize_score(raw_score, score_range),
-        ))
-    return EssaySet(prompt_id, tuple(essays), score_range)
+        essays.append(Essay(essay_id, _essay_tokens(row, essay_id), raw_score))
+    return EssaySet(tuple(essays), score_range)
 
 
 def load_unscored(path, prompt_id: int, encoding: str = "latin1"

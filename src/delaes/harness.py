@@ -31,7 +31,6 @@ class FoldPlan:
 
     assignments: dict[int, int]
     k: int
-    seed: int
 
     def members(self, fold: int) -> list[int]:
         return [eid for eid, f in self.assignments.items() if f == fold]
@@ -66,7 +65,7 @@ def plan_folds(essay_set: EssaySet, k: int, seed: int) -> FoldPlan:
     order = np.random.default_rng(seed).permutation(n)
     assignments = {essay_set.essays[int(idx)].essay_id: j % k
                    for j, idx in enumerate(order)}
-    return FoldPlan(assignments=assignments, k=k, seed=seed)
+    return FoldPlan(assignments=assignments, k=k)
 
 
 def round_layout(k: int) -> list[tuple[int, ...]]:

@@ -76,7 +76,6 @@ class ModelParameters:
 
     config: TrainConfig
     tensors: dict[str, np.ndarray]
-    embedding_trainable: bool = True
     vocab: InitVar[Vocabulary | None] = None
 
     def __post_init__(self, vocab: Vocabulary | None):
@@ -134,7 +133,8 @@ def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig,
     """Seeded Glorot-uniform initialization of every layer; biases start at zero.
 
     Weights are drawn in canonical tensor order, so the draws of each tensor
-    depend only on the config and the seed.
+    depend only on the config and the seed.  The matrix must train exactly
+    when the config's ``trainable_embeddings`` says so.
     """
     dtype = dtype or embedding.weights.dtype
     rows, d = embedding.weights.shape
@@ -142,6 +142,9 @@ def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig,
         raise UsageError(
             f"embedding matrix has dimension {d}, config says {cfg.embedding_dim}"
         )
+    if embedding.trainable != cfg.trainable_embeddings:
+        raise UsageError(f"embedding matrix has trainable={embedding.trainable}, "
+                         f"config says trainable_embeddings={cfg.trainable_embeddings}")
     rng = np.random.default_rng(cfg.seed)
     tensors = {}
     for name, shape in expected_shapes(cfg, rows).items():
@@ -154,7 +157,7 @@ def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig,
             # head maps its whole width to one logit.
             fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
             tensors[name] = _glorot(rng, shape, fan_in, fan_out, dtype)
-    return ModelParameters(cfg, tensors, embedding.trainable)
+    return ModelParameters(cfg, tensors)
 
 
 def pad_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -702,7 +705,7 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
     conv_grads = _conv_batch_backward(
         tensors["embedding"], cache["indices"], d_pres,
         [tensors[f"conv{k}.weights"] for k in cfg.windows],
-        g_embedding if params.embedding_trainable else None)
+        g_embedding if cfg.trainable_embeddings else None)
     for k, g, (g_w, g_b) in zip(cfg.windows, gru_grads, conv_grads):
         grads.update(g)
         grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = g_w, g_b

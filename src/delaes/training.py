@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import EssaySet, ScoreRange, Vocabulary, denormalize_score
+from .corpus import EssaySet, ScoreRange, Vocabulary, denormalize_score, normalize_score
 from .embedding import EmbeddingTable, build_embedding_matrix
 from .errors import NumericError, UsageError
 from .metrics import qwk
@@ -59,12 +59,12 @@ def make_batches(essay_set: EssaySet, vocab: Vocabulary, batch_size: int,
                  shuffle_seed: int) -> list[Batch]:
     """Shuffle deterministically and pad each batch to its own longest essay.
 
-    The last batch may be short; the union of batches is exactly the input
-    set.
+    Targets are raw scores normalized over the set's range.  The last batch
+    may be short; the union of batches is exactly the input set.
     """
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
-    essays = essay_set.essays
+    essays, score_range = essay_set.essays, essay_set.score_range
     if not essays:
         return []
     order = np.random.default_rng(shuffle_seed).permutation(len(essays))
@@ -72,7 +72,8 @@ def make_batches(essay_set: EssaySet, vocab: Vocabulary, batch_size: int,
     for start in range(0, len(essays), batch_size):
         chunk = [essays[i] for i in order[start:start + batch_size]]
         indices, mask = pad_rows([vocab.encode(e.tokens) for e in chunk])
-        targets = np.array([e.normalized_score for e in chunk], dtype=np.float64)
+        targets = np.array([normalize_score(e.raw_score, score_range) for e in chunk],
+                           dtype=np.float64)
         batches.append(Batch(indices, mask, targets,
                              tuple(e.essay_id for e in chunk)))
     return batches
@@ -118,33 +119,19 @@ def backward(batch: Batch, params: ModelParameters, dropout_seed: int
     return loss, backward_batch(cache, params, d_yhat)
 
 
-@dataclass
-class RmsPropState:
-    """Per-parameter squared-gradient accumulators plus the step constants."""
-
-    acc: dict[str, np.ndarray]
-    decay: float
-    epsilon: float
-    learning_rate: float
-
-    @classmethod
-    def for_params(cls, params: ModelParameters, cfg: TrainConfig) -> "RmsPropState":
-        acc = {name: np.zeros_like(tensor) for name, tensor in params.tensors.items()}
-        return cls(acc=acc, decay=cfg.rmsprop_decay, epsilon=cfg.rmsprop_epsilon,
-                   learning_rate=cfg.learning_rate)
-
-
 def rmsprop_step(params: ModelParameters, grads: Gradients,
-                 state: RmsPropState) -> tuple[ModelParameters, RmsPropState]:
-    """In-place update: acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(acc)+eps)."""
-    rho = state.decay
+                 accumulators: dict[str, np.ndarray]) -> None:
+    """In-place update of the tensors and their ``accumulators`` (zeros at
+    the start): acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(acc)+eps),
+    with rho, lr and eps from ``params.config``."""
+    cfg = params.config
+    rho = cfg.rmsprop_decay
     for name, tensor in params.tensors.items():
         g = grads[name]
-        acc = state.acc[name]
+        acc = accumulators[name]
         acc *= rho
         acc += (1.0 - rho) * g * g
-        tensor -= state.learning_rate * g / (np.sqrt(acc) + state.epsilon)
-    return params, state
+        tensor -= cfg.learning_rate * g / (np.sqrt(acc) + cfg.rmsprop_epsilon)
 
 
 def clip_gradients(grads: Gradients, max_norm: float) -> float:
@@ -227,7 +214,7 @@ def train(train_set: EssaySet, val_set: EssaySet, vocab: Vocabulary,
     if len(val_set) == 0:
         raise UsageError("validation set is empty")
 
-    state = RmsPropState.for_params(params, cfg)
+    accumulators = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     history: list[EpochRecord] = []
     best: ModelParameters | None = None
     best_qwk = -np.inf
@@ -241,7 +228,7 @@ def train(train_set: EssaySet, val_set: EssaySet, vocab: Vocabulary,
             loss, grads = backward(batch, params, _dropout_seed(cfg.seed, epoch, i))
             if cfg.grad_clip is not None:
                 clip_gradients(grads, cfg.grad_clip)
-            rmsprop_step(params, grads, state)
+            rmsprop_step(params, grads, accumulators)
             squared_sum += loss * len(batch)
             count += len(batch)
         train_mse = squared_sum / count

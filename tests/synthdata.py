@@ -34,8 +34,8 @@ def make_corpus(n: int, seed: int, repeats: int = 3, min_len: int = 10,
                     tokens[int(pos)] = keyword
         # keywords can overwrite each other, so recount from the tokens
         score = sum(keyword in tokens for keyword in KEYWORDS)
-        essays.append(Essay(i + 1, prompt_id, tuple(tokens), score, score / 2))
-    return EssaySet(prompt_id, tuple(essays), score_range)
+        essays.append(Essay(i + 1, tuple(tokens), score))
+    return EssaySet(tuple(essays), score_range)
 
 
 def make_table(dim: int, seed: int) -> EmbeddingTable:
@@ -87,9 +87,10 @@ def tiny_model(dtype=np.float64, dropout: float = 0.4, windows=(2, 3),
 def write_asap_tsv(path, essay_set: EssaySet, extra_rows: str = "") -> None:
     """Write essays in the ASAP TSV layout (plus an ignored extra column)."""
     lines = ["essay_id\tessay_set\tessay\trater1_domain1\tdomain1_score"]
+    prompt_id = essay_set.score_range.prompt_id
     for essay in essay_set:
         text = " ".join(essay.tokens)
-        lines.append(f"{essay.essay_id}\t{essay.prompt_id}\t{text}\t"
+        lines.append(f"{essay.essay_id}\t{prompt_id}\t{text}\t"
                      f"{essay.raw_score}\t{essay.raw_score}")
     body = "\n".join(lines) + "\n" + extra_rows
     with open(path, "w", encoding="latin-1") as fh:

@@ -179,6 +179,32 @@ class TestPredict:
             assert main(predict_args(model, data_files["data"], out)) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_artifact_recording_embedding_trainable_scores_the_same(
+            self, model_path, data_files, tmp_path, trainable):
+        # Earlier versions repeated the config's trainable_embeddings under
+        # this key; new artifacts omit it.
+        def legacy(meta):
+            assert "embedding_trainable" not in meta
+            meta["config"]["trainable_embeddings"] = trainable
+            meta["embedding_trainable"] = trainable
+        old = rewrite_metadata(model_path, tmp_path / "old.bin", legacy)
+        assert load_model(old).params.config.trainable_embeddings is trainable
+        for model, out in ((model_path, tmp_path / "a.csv"), (old, tmp_path / "b.csv")):
+            assert main(predict_args(model, data_files["data"], out)) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_embedding_trainable_contradicting_the_config_exits_1(
+            self, model_path, data_files, tmp_path, capsys, trainable):
+        def contradict(meta):
+            meta["config"]["trainable_embeddings"] = trainable
+            meta["embedding_trainable"] = not trainable
+        bad = rewrite_metadata(model_path, tmp_path / "bad.bin", contradict)
+        assert main(predict_args(bad, data_files["data"], tmp_path / "p.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "'embedding_trainable'" in err
+
     def test_artifact_with_a_mean_summary_exits_1(self, model_path, data_files, tmp_path,
                                                   capsys):
         mean = rewrite_metadata(model_path, tmp_path / "mean.bin",
@@ -274,6 +300,16 @@ class TestEval:
                         "1\t1\twords here\t3\n")
         pred = tmp_path / "pred.csv"
         pred.write_text("1,3\n")
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold),
+                     "--range", "2:4"]) == 0
+        assert capsys.readouterr().out.strip() == "1.0000"
+
+    def test_gold_asap_tsv_may_start_with_blank_lines(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("\n  \nessay_id\tessay_set\tessay\tdomain1_score\n"
+                        "1\t1\twords here\t3\n2\t1\tmore words\t4\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("1,3\n2,4\n")
         assert main(["eval", "--pred", str(pred), "--gold", str(gold),
                      "--range", "2:4"]) == 0
         assert capsys.readouterr().out.strip() == "1.0000"

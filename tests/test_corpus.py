@@ -81,9 +81,9 @@ class TestScoreScaling:
 class TestVocabulary:
     def _sets(self, texts):
         essays = tuple(
-            Essay(i + 1, 1, tuple(tokenize(t)), 2, 0.0) for i, t in enumerate(texts)
+            Essay(i + 1, tuple(tokenize(t)), 2) for i, t in enumerate(texts)
         )
-        return [EssaySet(1, essays, ScoreRange(1, 2, 4))]
+        return [EssaySet(essays, ScoreRange(1, 2, 4))]
 
     def test_min_count_prunes(self):
         vocab = build_vocabulary(self._sets(["a a b"]), min_count=2)
@@ -134,7 +134,7 @@ class TestLoadDataset:
         loaded = load_dataset(path, 1, ScoreRange(1, 2, 4))
         assert len(loaded) == 1
         essay = loaded.essays[0]
-        assert essay.normalized_score == 0.5
+        assert essay.raw_score == 3
         assert essay.tokens[0] == "dear"
 
     def test_filters_other_prompts(self, tmp_path):
@@ -163,8 +163,24 @@ class TestLoadDataset:
 
     def test_out_of_range_cites_essay_id(self, tmp_path):
         path = write(tmp_path / "d.tsv", f"{TSV_HEADER}\n7\t1\thello world\t9\n")
-        with pytest.raises(ScoreRangeError, match="essay 7"):
+        with pytest.raises(ScoreRangeError, match="essay 7") as err:
             load_dataset(path, 1, ScoreRange(1, 2, 4))
+        assert str(err.value).startswith(f"{path}:2: essay 7: score 9 outside range")
+
+    def test_essay_without_tokens_cites_path_and_line(self, tmp_path):
+        path = write(tmp_path / "d.tsv",
+                     f"{TSV_HEADER}\n\n1\t1\thello\t3\n8\t1\t   \t3\n")
+        with pytest.raises(FormatError) as err:
+            load_dataset(path, 1, ScoreRange(1, 2, 4))
+        assert str(err.value) == f"{path}:4: essay 8: no tokens after tokenization"
+        with pytest.raises(FormatError) as err:
+            load_unscored(path, 1)
+        assert str(err.value).startswith(f"{path}:4: essay 8:")
+
+    def test_range_of_another_prompt_rejected(self, tmp_path):
+        path = write(tmp_path / "d.tsv", f"{TSV_HEADER}\n1\t1\thello\t3\n")
+        with pytest.raises(UsageError, match="prompt 2, not 1"):
+            load_dataset(path, 1, ScoreRange(2, 2, 4))
 
     def test_embedded_tab_rejected(self, tmp_path):
         path = write(tmp_path / "d.tsv",
@@ -270,14 +286,9 @@ class TestLoadUnscored:
 
 class TestEssaySetInvariants:
     def test_duplicate_ids_rejected(self):
-        essays = (Essay(1, 1, ("a",), 2, 0.0), Essay(1, 1, ("b",), 2, 0.0))
+        essays = (Essay(1, ("a",), 2), Essay(1, ("b",), 2))
         with pytest.raises(UsageError):
-            EssaySet(1, essays, ScoreRange(1, 2, 4))
-
-    def test_prompt_mismatch_rejected(self):
-        essays = (Essay(1, 2, ("a",), 2, 0.0),)
-        with pytest.raises(UsageError):
-            EssaySet(1, essays, ScoreRange(1, 2, 4))
+            EssaySet(essays, ScoreRange(1, 2, 4))
 
     def test_vocabulary_rejects_reserved(self):
         with pytest.raises(UsageError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,7 +195,7 @@ class TestBackwardContracts:
 
     def test_frozen_embeddings_get_zero_gradient(self):
         _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
-        params.embedding_trainable = False
+        params.config = replace(params.config, trainable_embeddings=False)
         _, grads = backward(one_essay_batch(vocab, ESSAY), params, dropout_seed=1)
         np.testing.assert_array_equal(grads["embedding"],
                                       np.zeros_like(params.tensors["embedding"]))

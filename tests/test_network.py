@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaes import DomainError, TrainConfig, UsageError, network
+from delaes import (
+    DomainError,
+    EmbeddingTable,
+    TrainConfig,
+    UsageError,
+    Vocabulary,
+    build_embedding_matrix,
+    network,
+)
 from delaes.network import (
     bigru_forward,
     conv1d_forward,
@@ -305,6 +313,19 @@ class TestDropout:
     def test_rate_domain(self):
         with pytest.raises(DomainError):
             make_drop_mask(np.random.default_rng(0), (3,), 1.0, np.float64)
+
+
+class TestInitParameters:
+    @pytest.mark.parametrize("matrix_trains, config_trains",
+                             [(False, True), (True, False)])
+    def test_matrix_contradicting_the_config_rejected(self, matrix_trains,
+                                                      config_trains):
+        cfg = TrainConfig(windows=(2,), filters=3, hidden_units=4, embedding_dim=8,
+                          trainable_embeddings=config_trains)
+        matrix = build_embedding_matrix(Vocabulary(["a"]), EmbeddingTable(8, {}),
+                                        seed=0, trainable=matrix_trains)
+        with pytest.raises(UsageError, match="trainable_embeddings"):
+            network.init_parameters(matrix, cfg)
 
 
 class TestForward:

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from delaes import TrainConfig, UsageError, build_vocabulary, train
+from delaes.corpus import Essay, EssaySet, ScoreRange
 from delaes.training import (
-    RmsPropState,
     backward,
     evaluate_qwk,
     history_to_csv,
@@ -47,6 +49,18 @@ class TestMakeBatches:
         seen = [eid for b in batches for eid in b.essay_ids]
         assert sorted(seen) == [e.essay_id for e in corpus]
 
+    def test_targets_are_raw_scores_normalized_over_the_set_range(self, vocab):
+        essays = tuple(Essay(i + 1, ("magnet",) * (i + 1), score)
+                       for i, score in enumerate([2, 7, 3, 12, 5, 11, 2]))
+        essay_set = EssaySet(essays, ScoreRange(1, 2, 12))
+        batches = make_batches(essay_set, vocab, 3, shuffle_seed=4)
+        raw = {e.essay_id: e.raw_score for e in essays}
+        for batch in batches:
+            expected = np.array([(raw[eid] - 2) / 10 for eid in batch.essay_ids])
+            assert batch.targets.dtype == np.float64
+            np.testing.assert_array_equal(batch.targets.view(np.uint64),
+                                          expected.view(np.uint64))
+
     def test_empty_set(self, corpus, vocab):
         empty = corpus.subset([])
         assert make_batches(empty, vocab, 4, shuffle_seed=0) == []
@@ -81,28 +95,31 @@ class TestMseLoss:
             mse_loss(np.zeros(3), np.zeros(4))
 
 
+def zero_accumulators(params):
+    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
+
+
 class TestRmsProp:
     def test_zero_gradient_leaves_params(self):
         _, _, params = tiny_model(dtype=np.float64)
-        state = RmsPropState.for_params(params, params.config)
-        state.acc["dense.bias"][:] = 0.5
+        accumulators = zero_accumulators(params)
+        accumulators["dense.bias"][:] = 0.5
         before = params.tensors["dense.bias"].copy()
         grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-        rmsprop_step(params, grads, state)
+        rmsprop_step(params, grads, accumulators)
         np.testing.assert_array_equal(params.tensors["dense.bias"], before)
-        np.testing.assert_allclose(state.acc["dense.bias"], 0.45)  # decayed by rho
+        np.testing.assert_allclose(accumulators["dense.bias"], 0.45)  # decayed by rho
 
     def test_scalar_hand_arithmetic(self):
-        cfg = TrainConfig(learning_rate=0.001, rmsprop_decay=0.9,
-                          rmsprop_epsilon=1e-7)
         _, _, params = tiny_model(dtype=np.float64)
-        params.config = cfg
-        state = RmsPropState.for_params(params, cfg)
+        params.config = replace(params.config, learning_rate=0.001,
+                                rmsprop_decay=0.9, rmsprop_epsilon=1e-7)
+        accumulators = zero_accumulators(params)
         before = float(params.tensors["dense.bias"][0])
         grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
         grads["dense.bias"] = np.array([1.0])
-        rmsprop_step(params, grads, state)
-        assert state.acc["dense.bias"][0] == pytest.approx(0.1, rel=1e-12)
+        rmsprop_step(params, grads, accumulators)
+        assert accumulators["dense.bias"][0] == pytest.approx(0.1, rel=1e-12)
         delta = float(params.tensors["dense.bias"][0]) - before
         # hand: -0.001 / (sqrt(0.1) + 1e-7)
         assert delta == pytest.approx(-3.1623e-3, abs=1e-7)
@@ -113,13 +130,13 @@ class TestRmsProp:
     def test_accumulators_stay_nonnegative(self):
         from test_gradients import one_essay_batch
         _, vocab, params = tiny_model(dtype=np.float64)
-        state = RmsPropState.for_params(params, params.config)
+        accumulators = zero_accumulators(params)
         batch = one_essay_batch(
             vocab, ["alpha", "bravo", "charlie", "delta", "echo"])
         for _ in range(5):
             _, grads = backward(batch, params, dropout_seed=1)
-            rmsprop_step(params, grads, state)
-        for name, acc in state.acc.items():
+            rmsprop_step(params, grads, accumulators)
+        for name, acc in accumulators.items():
             assert (acc >= 0).all(), name
 
 
