@@ -126,9 +126,22 @@ class Essay:
     raw_score: int
 
 
+def _check_score(essay_id: int, raw_score: int, score_range: ScoreRange,
+                 where: str = "") -> None:
+    if not score_range.min_score <= raw_score <= score_range.max_score:
+        raise ScoreRangeError(
+            f"{where}essay {essay_id}: score {raw_score} outside range "
+            f"{score_range.min_score}-{score_range.max_score}"
+        )
+
+
 @dataclass(frozen=True)
 class EssaySet:
-    """Ordered essays of one prompt, the ``prompt_id`` of ``score_range``."""
+    """Ordered essays of one prompt, the ``prompt_id`` of ``score_range``.
+
+    Essay ids are unique (else :class:`UsageError`) and every raw score lies
+    in the range (else :class:`ScoreRangeError` naming the essay).
+    """
 
     essays: tuple[Essay, ...]
     score_range: ScoreRange
@@ -139,6 +152,7 @@ class EssaySet:
             if essay.essay_id in seen:
                 raise UsageError(f"duplicate essay id {essay.essay_id}")
             seen.add(essay.essay_id)
+            _check_score(essay.essay_id, essay.raw_score, self.score_range)
 
     def __len__(self) -> int:
         return len(self.essays)
@@ -366,11 +380,7 @@ def load_dataset(path, prompt_id: int, score_range: ScoreRange,
     essays = []
     for essay_id, row in _prompt_rows(path, rows, prompt_id):
         raw_score = row.integer("domain1_score")
-        if not score_range.min_score <= raw_score <= score_range.max_score:
-            raise ScoreRangeError(
-                f"{row.where}: essay {essay_id}: score {raw_score} outside range "
-                f"{score_range.min_score}-{score_range.max_score}"
-            )
+        _check_score(essay_id, raw_score, score_range, f"{row.where}: ")
         essays.append(Essay(essay_id, _essay_tokens(row, essay_id), raw_score))
     return EssaySet(tuple(essays), score_range)
 

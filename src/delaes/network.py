@@ -496,13 +496,15 @@ def _prefix_lengths(mask: np.ndarray) -> np.ndarray:
 
 
 def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray],
-              prefix: str = "") -> dict:
+              prefix: str = "", keep: bool = True) -> dict:
     """Scan one direction over time-major input (T, B, I).
 
     The direction's matrices are ``gates[prefix + name]`` for each gate name:
     a gate-name mapping with the empty prefix, or the model's tensor map with
     a prefix such as ``"gru2.fw."``.  Returns stacked states and gate values;
-    ``h`` has T+1 entries with the zero initial state first.
+    ``h`` has T+1 entries with the zero initial state first.  With ``keep``
+    false (inference) the scan updates one running state in place and
+    returns only ``h``, holding the final state as its single entry.
 
     The input projections of all steps are one matmul into a (T, B, 3H)
     buffer, which each step overwrites with its gates; ``z``, ``r`` and ``c``
@@ -514,11 +516,15 @@ def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray]
     steps, batch, _ = x.shape
     hidden = u_h.shape[0]
     buf = np.matmul(x, w_x, out=np.empty((steps, batch, 3 * hidden), dtype=x.dtype))
-    hs = np.zeros((steps + 1, batch, hidden), dtype=x.dtype)
+    hs = np.zeros((steps + 1 if keep else 1, batch, hidden), dtype=x.dtype)
     for t, a in enumerate(active.tolist()):
-        hs[t + 1, a:] = hs[t, a:]
+        prev, new = (hs[t], hs[t + 1]) if keep else (hs[0], hs[0])
+        if keep:
+            new[a:] = prev[a:]
         if a:
-            hs[t + 1, :a] = _gru_cell(buf[t, :a], hs[t, :a], u_zr, u_h)
+            new[:a] = _gru_cell(buf[t, :a], prev[:a], u_zr, u_h)
+    if not keep:
+        return {"h": hs}
     return {"x": x, "active": active, "h": hs, "z": buf[:, :, :hidden],
             "r": buf[:, :, hidden:2 * hidden], "c": buf[:, :, 2 * hidden:]}
 
@@ -580,20 +586,22 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
 
 
 def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
-                 tensors: Mapping[str, np.ndarray], prefix: str):
+                 tensors: Mapping[str, np.ndarray], prefix: str, keep: bool = True):
     """Both directions over batch-major pooled features (B, T, F), rows
     sorted by descending ``lengths``.
 
     The directions' matrices are ``tensors[prefix + "fw." + gate]`` and
     ``tensors[prefix + "bw." + gate]``.  Returns the channel summary (B, 2H),
     each row's forward state after its last real step beside its backward
-    state after its first, and the two scan caches.
+    state after its first, and the two scan caches, or None when ``keep``
+    is false (see :func:`_gru_scan`).
     """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
     active = (lengths > np.arange(x.shape[0])[:, None]).sum(axis=1)
-    fw = _gru_scan(x, active, tensors, prefix + "fw.")
-    bw = _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.")
-    return np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1), {"fw": fw, "bw": bw}
+    fw = _gru_scan(x, active, tensors, prefix + "fw.", keep)
+    bw = _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.", keep)
+    summary = np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1)
+    return summary, ({"fw": fw, "bw": bw} if keep else None)
 
 
 def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray], prefix: str,
@@ -618,37 +626,48 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
 
     ``mask`` marks each row's real tokens, which come first (else
     :class:`UsageError`).  ``drop_mask`` is a fixed dropout realization from
-    :func:`make_drop_mask`, or None for inference.  Rows run longest first
-    (a stable sort), so those still inside their essay lead every GRU step;
-    predictions come back in caller order, the cache keeps sorted order.
+    :func:`make_drop_mask` (all ones for no dropout), or None for
+    inference: then nothing is kept for backprop and the cache is None.
+    The predictions of the two modes are equal bit for bit under an
+    all-ones mask.  Rows run longest first (a stable sort), so those still
+    inside their essay lead every GRU step; predictions come back in caller
+    order, the cache keeps sorted order.
     """
     cfg = params.config
     tensors = params.tensors
+    keep = drop_mask is not None
     lengths = _prefix_lengths(mask)
     order = np.argsort(-lengths, kind="stable")
     indices, lengths = indices[order], lengths[order]
-    if drop_mask is not None:
-        drop_mask = drop_mask[order]
     pres = _conv_pre_batch(tensors["embedding"], indices,
                            [tensors[f"conv{k}.weights"] for k in cfg.windows],
                            [tensors[f"conv{k}.bias"] for k in cfg.windows])
     channels = []
     summaries = []
-    for k, pre in zip(cfg.windows, pres):
+    for k in cfg.windows:
+        pre = pres.pop(0)
         pooled, offset, pooled_lengths = _maxpool_batch(
             np.maximum(pre, 0), np.maximum(lengths - k + 1, 0),
             cfg.pool_size, cfg.pool_stride)
-        summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors, f"gru{k}.")
+        if keep:
+            channels.append({"pre": pre, "offset": offset})
+        del pre, offset  # inference drops them once pooled
+        summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors, f"gru{k}.", keep)
         summaries.append(summary)
-        channels.append({"pre": pre, "offset": offset, "bigru": bicache})
+        if keep:
+            channels[-1]["bigru"] = bicache
     concat = np.concatenate(summaries, axis=1)
-    dropped = concat * drop_mask if drop_mask is not None else concat
-    logits = dropped @ tensors["dense.weights"] + tensors["dense.bias"][0]
+    if keep:
+        drop_mask = drop_mask[order]
+        concat *= drop_mask
+    logits = concat @ tensors["dense.weights"] + tensors["dense.bias"][0]
     yhat = sigmoid(logits)
     caller_yhat = np.empty_like(yhat)
     caller_yhat[order] = yhat
-    return caller_yhat, {"order": order, "indices": indices, "channels": channels, "dropped": dropped,
-                         "drop_mask": drop_mask, "yhat": yhat}
+    if not keep:
+        return caller_yhat, None
+    return caller_yhat, {"order": order, "indices": indices, "channels": channels,
+                         "dropped": concat, "drop_mask": drop_mask, "yhat": yhat}
 
 
 def _scatter_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray):
@@ -683,9 +702,7 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
     d_logit = d_yhat[cache["order"]] * yhat * (1.0 - yhat)
     grads["dense.weights"] = cache["dropped"].T @ d_logit
     grads["dense.bias"] = np.array([d_logit.sum()], dtype=params.dtype)
-    d_dropped = d_logit[:, None] * tensors["dense.weights"][None, :]
-    drop_mask = cache["drop_mask"]
-    d_concat = d_dropped * drop_mask if drop_mask is not None else d_dropped
+    d_concat = d_logit[:, None] * tensors["dense.weights"][None, :] * cache["drop_mask"]
 
     h2 = 2 * cfg.hidden_units
     channels = cache["channels"]

@@ -98,14 +98,16 @@ def _first_nonfinite(params: ModelParameters) -> str:
 
 def backward(batch: Batch, params: ModelParameters, dropout_seed: int
              ) -> tuple[float, Gradients]:
-    """Loss and exact gradients for one batch under a fixed dropout draw."""
+    """Loss and exact gradients for one batch under a fixed dropout draw.
+
+    The drop mask is passed even for no dropout (all ones, which leaves
+    every product unchanged): ``forward_batch`` keeps its backprop cache
+    only when given one.
+    """
     cfg = params.config
     dtype = params.dtype
-    drop_mask = None
-    if cfg.dropout > 0:
-        rng = np.random.default_rng(dropout_seed)
-        drop_mask = make_drop_mask(rng, (len(batch), summary_width(cfg)),
-                                   cfg.dropout, dtype)
+    drop_mask = make_drop_mask(np.random.default_rng(dropout_seed),
+                               (len(batch), summary_width(cfg)), cfg.dropout, dtype)
     targets = batch.targets.astype(dtype)
     yhat, cache = forward_batch(batch.indices, batch.mask, params, drop_mask)
     loss = mse_loss(targets, yhat)
@@ -150,19 +152,21 @@ def clip_gradients(grads: Gradients, max_norm: float) -> float:
 def predict_normalized(params: ModelParameters, vocab: Vocabulary,
                        token_sequences, batch_size: int | None = None
                        ) -> np.ndarray:
-    """Inference-mode predictions in [0, 1], one per token sequence, in order."""
-    token_sequences = list(token_sequences)
-    if not token_sequences:
-        return np.zeros(0, dtype=np.float64)
+    """Inference-mode predictions in [0, 1], one per token sequence, in order.
+
+    Sequences are scored longest first (a stable sort) in batches of
+    ``batch_size`` (default: the config's), so each batch pads to lengths
+    close to its own; an essay scores the same in any batch up to round-off.
+    """
+    rows = [vocab.encode(tokens) for tokens in token_sequences]
+    predictions = np.empty(len(rows), dtype=np.float64)
     size = batch_size or params.config.batch_size
-    outputs = []
-    for start in range(0, len(token_sequences), size):
-        indices, mask = pad_rows(
-            [vocab.encode(tokens) for tokens in token_sequences[start:start + size]])
-        # Index the result so the backprop cache is freed before the next batch.
-        yhat = forward_batch(indices, mask, params)[0]
-        outputs.append(yhat.astype(np.float64))
-    return np.concatenate(outputs)
+    order = np.argsort([-len(row) for row in rows], kind="stable")
+    for start in range(0, len(rows), size):
+        chosen = order[start:start + size]
+        indices, mask = pad_rows([rows[i] for i in chosen])
+        predictions[chosen] = forward_batch(indices, mask, params)[0]
+    return predictions
 
 
 def denormalize_predictions(essay_ids, predictions, score_range: ScoreRange

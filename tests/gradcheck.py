@@ -28,11 +28,9 @@ def _kink_floors(batch: Batch, params, dropout_seed: int) -> tuple[dict, float]:
     the kink.
     """
     cfg = params.config
-    drop_mask = None
-    if cfg.dropout > 0:
-        rng = np.random.default_rng(dropout_seed)
-        drop_mask = make_drop_mask(rng, (len(batch), summary_width(cfg)),
-                                   cfg.dropout, params.dtype)
+    # A drop mask, all ones for no dropout, asks forward_batch for its cache.
+    drop_mask = make_drop_mask(np.random.default_rng(dropout_seed),
+                               (len(batch), summary_width(cfg)), cfg.dropout, params.dtype)
     _, cache = forward_batch(batch.indices, batch.mask, params, drop_mask)
     per_filter: dict[int, np.ndarray] = {}
     global_floor = np.inf

@@ -290,6 +290,13 @@ class TestEssaySetInvariants:
         with pytest.raises(UsageError):
             EssaySet(essays, ScoreRange(1, 2, 4))
 
+    @pytest.mark.parametrize("raw_score", [9, -1])
+    def test_score_outside_range_names_the_essay(self, raw_score):
+        essays = (Essay(3, ("a",), 1), Essay(8, ("b",), raw_score))
+        with pytest.raises(ScoreRangeError) as err:
+            EssaySet(essays, ScoreRange(1, 0, 2))
+        assert str(err.value) == f"essay 8: score {raw_score} outside range 0-2"
+
     def test_vocabulary_rejects_reserved(self):
         with pytest.raises(UsageError):
             Vocabulary([PAD_TOKEN])

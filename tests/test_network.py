@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -592,6 +593,68 @@ class TestRowOrder:
         for name in grads:
             np.testing.assert_allclose(grads_p[name], grads[name], rtol=1e-12,
                                        atol=1e-15, err_msg=name)
+
+
+class TestInferenceMode:
+    """Without a drop mask, :func:`forward_batch` keeps nothing for backprop
+    and predicts exactly what the training-mode pass does under an all-ones
+    mask."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("windows, pooling", [((2, 3), {}),
+                                                  ((1, 2, 4), {"pool_size": 3, "pool_stride": 2})],
+                             ids=["default", "windows-1-2-4-pool-3-2"])
+    def test_no_cache_and_bitwise_training_mode_predictions(self, dtype, windows, pooling):
+        _, vocab, params = tiny_model(dtype=dtype, dropout=0.0, windows=windows, seed=7)
+        params.config = dataclasses.replace(params.config, **pooling)
+        rng = np.random.default_rng(13)
+        # Unsorted lengths with a tie and rows shorter than the widest window.
+        indices, mask = pad_rows([rng.integers(2, vocab.size, n)
+                                  for n in (5, 1, 17, 3, 5, 2, 30)])
+        yhat, cache = forward_batch(indices, mask, params)
+        assert cache is None
+        ones = np.ones((len(indices), summary_width(params.config)), dtype=dtype)
+        want, train_cache = forward_batch(indices, mask, params, ones)
+        assert train_cache is not None
+        assert yhat.dtype == want.dtype
+        bits = np.dtype(f"u{want.itemsize}")
+        np.testing.assert_array_equal(yhat.view(bits), want.view(bits))
+
+    def test_scan_keeps_only_the_final_state(self):
+        rng = np.random.default_rng(29)
+        gates = random_direction(rng, 4, 3)
+        x = rng.normal(size=(9, 6, 3))
+        active = (np.array([7, 5, 5, 2, 0, 0]) > np.arange(9)[:, None]).sum(axis=1)
+        kept = _gru_scan(x, active, gates)
+        running = _gru_scan(x, active, gates, keep=False)
+        assert list(running) == ["h"] and running["h"].shape == (1, 6, 4)
+        np.testing.assert_array_equal(running["h"][0].view(np.uint64),
+                                      kept["h"][-1].view(np.uint64))
+
+    def test_inference_peak_memory_below_half_of_training_mode(self):
+        """numpy reports its buffers to tracemalloc, so this bound is
+        structural: it counts the arrays alive at once, not time."""
+        cfg = TrainConfig(embedding_dim=16, windows=(2, 3, 4), filters=16,
+                          hidden_units=64, batch_size=16, seed=0)
+        vocab = Vocabulary([f"w{i}" for i in range(50)])
+        matrix = build_embedding_matrix(vocab, EmbeddingTable(16, {}), seed=0,
+                                        dtype=np.float32)
+        params = network.init_parameters(matrix, cfg, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        indices, mask = pad_rows([rng.integers(2, vocab.size, n)
+                                  for n in np.linspace(5, 300, 16).astype(int)])
+
+        def peak_bytes(*drop_mask):
+            tracemalloc.start()
+            try:
+                forward_batch(indices, mask, params, *drop_mask)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        inference = peak_bytes()
+        training = peak_bytes(np.ones((16, summary_width(cfg)), np.float32))
+        assert inference < training / 2, (inference, training)
 
 
 class TestEmbeddingScatter:

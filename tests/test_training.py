@@ -11,8 +11,10 @@ from delaes.training import (
     history_to_csv,
     make_batches,
     mse_loss,
+    predict_normalized,
     rmsprop_step,
 )
+from delaes.network import forward
 
 from synthdata import make_corpus, make_table, overfit_config, tiny_model
 
@@ -205,3 +207,38 @@ class TestTrainLoop:
             epochs=2, grad_clip=0.5)
         _, history = train(train_set, val_set, vocab, table, cfg)
         assert len(history) == 2
+
+
+class TestPredictNormalized:
+    """Scoring runs longest first across batches; the scores come back in
+    input order and do not depend on the batch an essay lands in."""
+
+    LENGTHS = (4, 19, 1, 7, 7, 30, 2, 12, 5, 23)
+
+    @staticmethod
+    def essays(vocab, lengths, seed=3):
+        rng = np.random.default_rng(seed)
+        tokens = vocab.corpus_tokens()
+        return [[tokens[int(i)] for i in rng.integers(0, len(tokens), n)] for n in lengths]
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, None])
+    def test_each_essay_scores_as_alone_in_input_order(self, batch_size):
+        _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
+        essays = self.essays(vocab, self.LENGTHS)
+        got = predict_normalized(params, vocab, essays, batch_size)
+        assert got.dtype == np.float64 and got.shape == (len(essays),)
+        alone = [forward(vocab.encode(tokens), params) for tokens in essays]
+        np.testing.assert_allclose(got, alone, rtol=0, atol=1e-6)
+
+    def test_permuted_input_permutes_output(self):
+        _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
+        essays = self.essays(vocab, (4, 19, 1, 7, 30, 2, 12, 5, 23))  # no ties
+        got = predict_normalized(params, vocab, essays, 3)
+        perm = np.random.default_rng(8).permutation(len(essays))
+        permuted = predict_normalized(params, vocab, [essays[i] for i in perm], 3)
+        np.testing.assert_array_equal(permuted, got[perm])
+
+    def test_no_essays_no_scores(self):
+        _, vocab, params = tiny_model()
+        got = predict_normalized(params, vocab, [])
+        assert got.dtype == np.float64 and got.shape == (0,)
