@@ -32,15 +32,22 @@ class EmbeddingMatrix:
     trainable: bool = True
 
 
+# A value past the float32 range casts to inf, and inf·0 is NaN: the
+# finiteness check reports both with their line, so the warnings of the cast
+# and of the check would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     """Parse a UTF-8 embedding file: one token plus ``expected_dim`` reals per line.
 
     An optional header of the form ``count dim`` on the first non-blank line
     is recognized and skipped.  Duplicate tokens keep their first occurrence.
+    A component that is NaN, infinite or past the float32 range is a
+    :class:`FormatError` naming its line.
     """
     if expected_dim < 1:
         raise DomainError("expected_dim must be >= 1")
     vectors: dict[str, np.ndarray] = {}
+    zeros = np.zeros(expected_dim, dtype=np.float32)
     for i, (lineno, line) in enumerate(text_lines(path)):
         fields = line.split()
         if i == 0 and len(fields) == 2 and _both_ints(fields):
@@ -61,6 +68,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
             vector = np.array([float(v) for v in values], dtype=np.float32)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
+        # 0·x is NaN exactly for a NaN or infinite x, so one dot product
+        # checks every component: half the cost of isfinite().all().
+        if vector @ zeros != 0:
+            raise FormatError(f"{path}:{lineno}: non-finite vector component")
         if token not in vectors:
             vectors[token] = vector
     return EmbeddingTable(dimension=expected_dim, vectors=vectors)

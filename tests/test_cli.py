@@ -77,6 +77,21 @@ class TestTrain:
         assert main(args) == 1
         assert "outside range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e40"])
+    def test_non_finite_embedding_names_the_line(self, data_files, tmp_path, capsys,
+                                                 value):
+        lines = data_files["vectors"].read_text(encoding="utf-8").splitlines()
+        dim = len(lines[-1].split()) - 1
+        bad = tmp_path / "vectors.txt"
+        bad.write_text("\n".join([*lines, "zz " + " ".join([value] * dim)]) + "\n",
+                       encoding="utf-8")
+        args = train_args(data_files, tmp_path / "m.bin")
+        args[args.index("--embeddings") + 1] = str(bad)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:{len(lines) + 1}: non-finite vector component" in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def model_path(data_files, tmp_path_factory):

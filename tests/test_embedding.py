@@ -48,6 +48,12 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match=":1"):
             load_embeddings(path, expected_dim=2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e40"])
+    def test_non_finite_component_names_the_line(self, tmp_path, value):
+        path = write(tmp_path / "v.txt", f"a 1.0 2.0\nb 0.5 {value}\n")
+        with pytest.raises(FormatError, match="v.txt:2: non-finite vector component"):
+            load_embeddings(path, expected_dim=2)
+
     def test_duplicates_keep_first(self, tmp_path):
         path = write(tmp_path / "v.txt", "a 1.0 2.0\na 9.0 9.0\n")
         table = load_embeddings(path, expected_dim=2)

@@ -564,6 +564,34 @@ class TestStackedConv:
             want_d_emb += d_emb_k
         np.testing.assert_allclose(d_emb, want_d_emb, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_repeated_tokens_and_padding_match_per_offset_loop(self, dtype, block_bytes,
+                                                               monkeypatch):
+        """Each distinct token is projected once and gathered per occurrence."""
+        if block_bytes is not None:
+            monkeypatch.setattr(network, "_CONV_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(43)
+        # Token 3 fills most positions; rows 0 and 3 are equal, row 2 is
+        # narrower than the widest window, and every other row ends in PAD.
+        rows = [[3, 3, 3, 3, 7, 3, 3, 3, 3], [3, 3, 3, 5], [3, 9],
+                [3, 3, 3, 3, 7, 3, 3, 3, 3], [3, 3, 3, 3, 3, 3]]
+        indices, _ = pad_rows(rows)
+        table = rng.normal(size=(10, self.DIM)).astype(dtype)
+        table[PAD_INDEX] = 0.0
+        weights = [rng.normal(size=(self.FILTERS, k * self.DIM)).astype(dtype)
+                   for k in self.WINDOWS]
+        biases = [rng.normal(size=self.FILTERS).astype(dtype) for _ in self.WINDOWS]
+        pres = _conv_pre_batch(table, indices, weights, biases)
+        emb = table[indices].astype(np.float64)
+        tol = {"rtol": 1e-12} if dtype == np.float64 else {"rtol": 1e-5, "atol": 1e-5}
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        for w, b, pre in zip(weights, biases, pres):
+            assert pre.dtype == dtype
+            np.testing.assert_allclose(pre, conv_batch_loop(emb, w.astype(np.float64),
+                                                            b.astype(np.float64)), **tol)
+            np.testing.assert_array_equal(pre[0].view(bits), pre[3].view(bits))
+
 
 class TestRowOrder:
     def test_permuting_rows_permutes_predictions_only(self):
@@ -619,6 +647,18 @@ class TestInferenceMode:
         assert yhat.dtype == want.dtype
         bits = np.dtype(f"u{want.itemsize}")
         np.testing.assert_array_equal(yhat.view(bits), want.view(bits))
+
+    def test_training_cache_keeps_negative_pre_activations(self):
+        """Only inference takes the ReLU in place.  The gradient check's kink
+        floors read ``|pre|`` from the training cache; rectified values there
+        would make every floor zero and skip every conv row."""
+        _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
+        rng = np.random.default_rng(31)
+        indices, mask = pad_rows([rng.integers(2, vocab.size, n) for n in (9, 4, 12)])
+        ones = np.ones((len(indices), summary_width(params.config)))
+        _, cache = forward_batch(indices, mask, params, ones)
+        for channel in cache["channels"]:
+            assert (channel["pre"] < 0).any()
 
     def test_scan_keeps_only_the_final_state(self):
         rng = np.random.default_rng(29)
