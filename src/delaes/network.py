@@ -16,7 +16,15 @@ direction.
 
 All operations are pure given parameters and an explicit generator, so an
 unchanging :class:`ModelParameters` can serve any number of concurrent
-inference calls.  Padding only follows an essay's real tokens, and each row
+inference calls.  A BiGRU's two directions share nothing until their final
+states are joined, nor in reverse mode until their input gradients are
+added.  So when a batch is large enough (batch rows × hidden units at least
+:data:`_TWO_THREAD_MIN_WORK`) and the process may run on two CPUs, the
+backward direction runs on one worker thread, started on first use, while
+the caller runs the forward one; concurrent callers queue on that thread.
+Results are the same bit for bit either way.
+
+Padding only follows an essay's real tokens, and each row
 carries its real extent as a length: ``n`` tokens, ``max(n - k + 1, 0)``
 positions of window ``k``, and the pooled windows its unpadded map has.
 Past its length a row is treated exactly like the end of its essay, so
@@ -25,6 +33,9 @@ scores the same alone or in any batch.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
 
@@ -311,17 +322,18 @@ def _conv_channel_columns(weights: Sequence[np.ndarray], d: int):
         col += k * f
 
 
-#: Most bytes of conv products, or of shifted conv gradients, held at once:
-#: a few batch rows at paper shapes, the whole batch at small ones.  A block
-#: buffer this size is reused from the allocator's heap instead of being
-#: mapped and page-faulted afresh on every call.
-_CONV_BLOCK_BYTES = 8 << 20
+#: Most bytes of conv products, shifted conv gradients or GRU input
+#: projections held at once: a few batch rows or a few dozen time steps at
+#: paper shapes, everything at small ones.  A block buffer this size is
+#: reused from the allocator's heap instead of being mapped and page-faulted
+#: afresh on every call.
+_BLOCK_BYTES = 8 << 20
 
 
 def _row_blocks(rows: int, row_bytes: int):
-    """Slices of at most :data:`_CONV_BLOCK_BYTES` worth of batch rows (at
-    least one row each) that cover ``range(rows)`` in order."""
-    step = max(1, _CONV_BLOCK_BYTES // max(row_bytes, 1))
+    """Slices of at most :data:`_BLOCK_BYTES` worth of rows (at least one
+    row each) that cover ``range(rows)`` in order."""
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
@@ -516,23 +528,35 @@ def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray]
     false (inference) the scan updates one running state in place and
     returns only ``h``, holding the final state as its single entry.
 
-    The input projections of all steps are one matmul into a (T, B, 3H)
-    buffer, which each step overwrites with its gates; ``z``, ``r`` and ``c``
-    are views of it.  Step ``t`` computes only the first ``active[t]`` rows
-    (rows sorted by descending length); the others carry their state, and
-    their gate values are unspecified.
+    The input projections are one matmul per :func:`_row_blocks` block of
+    steps, into the (T, B, 3H) buffer that ``keep`` returns, or else into one
+    reused block buffer, so inference never holds more than
+    :data:`_BLOCK_BYTES` of them.  Each step overwrites its projections with
+    its gates; ``z``, ``r`` and ``c`` are views of the buffer.  Step ``t``
+    computes only the first ``active[t]`` rows (rows sorted by descending
+    length); the others carry their state, and their gate values are
+    unspecified.  The projection covers every row, padded ones too: with
+    fewer rows the BLAS may pick another kernel, which rounds differently.
     """
     w_x, u_zr, u_h = _fused_gates(gates, prefix)
     steps, batch, _ = x.shape
     hidden = u_h.shape[0]
-    buf = np.matmul(x, w_x, out=np.empty((steps, batch, 3 * hidden), dtype=x.dtype))
+    blocks = _row_blocks(steps, batch * 3 * hidden * x.itemsize)
+    buf = np.empty((steps if keep or not blocks else blocks[0].stop, batch, 3 * hidden),
+                   dtype=x.dtype)
     hs = np.zeros((steps + 1 if keep else 1, batch, hidden), dtype=x.dtype)
-    for t, a in enumerate(active.tolist()):
-        prev, new = (hs[t], hs[t + 1]) if keep else (hs[0], hs[0])
-        if keep:
-            new[a:] = prev[a:]
-        if a:
-            new[:a] = _gru_cell(buf[t, :a], prev[:a], u_zr, u_h)
+    steps_active = active.tolist()
+    for block in blocks:
+        start = block.start
+        projected = np.matmul(x[block], w_x,
+                              out=buf[block] if keep else buf[:block.stop - start])
+        for t in range(start, block.stop):
+            a = steps_active[t]
+            prev, new = (hs[t], hs[t + 1]) if keep else (hs[0], hs[0])
+            if keep:
+                new[a:] = prev[a:]
+            if a:
+                new[:a] = _gru_cell(projected[t - start, :a], prev[:a], u_zr, u_h)
     if not keep:
         return {"h": hs}
     return {"x": x, "active": active, "h": hs, "z": buf[:, :, :hidden],
@@ -595,6 +619,65 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     return dx, {prefix + name: g for name, g in zip(_GATE_NAMES, grads)}
 
 
+#: Fewest batch rows × hidden units at which a BiGRU's two directions run on
+#: two threads.  Every scan step passes the interpreter lock between the
+#: threads around its GEMMs, and below this size that handoff costs more
+#: than the second CPU saves: on two CPUs, 64 × 64 and 128 × 64 ran no
+#: faster or slower than one thread, and 96 × 128, 128 × 96 and 256 × 48
+#: ran 1.2-1.5x faster, inference and training alike.
+_TWO_THREAD_MIN_WORK = 96 * 128
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _use_two_threads(batch: int, hidden: int) -> bool:
+    """Whether a BiGRU over ``batch`` rows of ``hidden`` units runs its two
+    directions on two threads: only when the work is large enough and the
+    process may run on at least two CPUs.  Either way the results are the
+    same bit for bit."""
+    if batch * hidden < _TWO_THREAD_MIN_WORK:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _second_thread() -> ThreadPoolExecutor:
+    """The process's one worker thread for second scan directions, started
+    on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaes-gru")
+        return _pool
+
+
+def _forget_second_thread():
+    """A forked child has none of its parent's threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_second_thread)
+
+
+def _both_directions(first, second, threaded: bool):
+    """``(first(), second())``; when ``threaded``, ``second`` runs on
+    :func:`_second_thread` while the caller runs ``first``.  The call never
+    returns or raises while ``second`` is still running, and an exception
+    from either reaches the caller."""
+    if not threaded:
+        return first(), second()
+    future = _second_thread().submit(second)
+    try:
+        result = first()
+    finally:
+        wait([future])
+    return result, future.result()
+
+
 def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
                  tensors: Mapping[str, np.ndarray], prefix: str, keep: bool = True):
     """Both directions over batch-major pooled features (B, T, F), rows
@@ -608,8 +691,10 @@ def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
     """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
     active = (lengths > np.arange(x.shape[0])[:, None]).sum(axis=1)
-    fw = _gru_scan(x, active, tensors, prefix + "fw.", keep)
-    bw = _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.", keep)
+    fw, bw = _both_directions(
+        lambda: _gru_scan(x, active, tensors, prefix + "fw.", keep),
+        lambda: _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.", keep),
+        _use_two_threads(x.shape[1], tensors[prefix + "fw.u_h"].shape[0]))
     summary = np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1)
     return summary, ({"fw": fw, "bw": bw} if keep else None)
 
@@ -620,10 +705,12 @@ def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray], prefix
     gradients of both directions keyed by their tensor names (forward
     direction first).  The summary's two halves are the gradients on the
     final states of the forward and backward scans."""
-    hidden = d_summary.shape[1] // 2
+    batch, hidden = d_summary.shape[0], d_summary.shape[1] // 2
     fw, bw = cache["fw"], cache["bw"]
-    dx_fw, g_fw = _gru_scan_backward(fw, tensors, d_summary[:, :hidden], prefix + "fw.")
-    dx_bw, g_bw = _gru_scan_backward(bw, tensors, d_summary[:, hidden:], prefix + "bw.")
+    (dx_fw, g_fw), (dx_bw, g_bw) = _both_directions(
+        lambda: _gru_scan_backward(fw, tensors, d_summary[:, :hidden], prefix + "fw."),
+        lambda: _gru_scan_backward(bw, tensors, d_summary[:, hidden:], prefix + "bw."),
+        _use_two_threads(batch, hidden))
     g_fw.update(g_bw)
     d_pooled = (dx_fw + dx_bw[::-1]).transpose(1, 0, 2)
     return d_pooled, g_fw

@@ -155,12 +155,15 @@ def predict_normalized(params: ModelParameters, vocab: Vocabulary,
     """Inference-mode predictions in [0, 1], one per token sequence, in order.
 
     Sequences are scored longest first (a stable sort) in batches of
-    ``batch_size`` (default: the config's), so each batch pads to lengths
-    close to its own; an essay scores the same in any batch up to round-off.
+    ``batch_size`` (None: the config's; below 1: :class:`UsageError`), so
+    each batch pads to lengths close to its own; an essay scores the same in
+    any batch up to round-off.
     """
+    size = params.config.batch_size if batch_size is None else batch_size
+    if size < 1:
+        raise UsageError("batch_size must be >= 1")
     rows = [vocab.encode(tokens) for tokens in token_sequences]
     predictions = np.empty(len(rows), dtype=np.float64)
-    size = batch_size or params.config.batch_size
     order = np.argsort([-len(row) for row in rows], kind="stable")
     for start in range(0, len(rows), size):
         chosen = order[start:start + size]

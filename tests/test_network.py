@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +19,7 @@ from delaes import (
     build_embedding_matrix,
     network,
 )
+from delaes.training import Batch, backward
 from delaes.network import (
     bigru_forward,
     conv1d_forward,
@@ -536,7 +542,7 @@ class TestStackedConv:
     @pytest.mark.parametrize("block_bytes", [None, 1])
     def test_forward_and_gradients_match_per_offset_loop(self, block_bytes, monkeypatch):
         if block_bytes is not None:  # one batch row per gather-GEMM-scatter block
-            monkeypatch.setattr(network, "_CONV_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(network, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(41)
         indices, mask = pad_rows([[3, 4, 5, 6, 7, 8, 9], [3, 4], [5, 6, 7, 8]])
         emb = rng.normal(size=(*indices.shape, self.DIM))
@@ -570,7 +576,7 @@ class TestStackedConv:
                                                                monkeypatch):
         """Each distinct token is projected once and gathered per occurrence."""
         if block_bytes is not None:
-            monkeypatch.setattr(network, "_CONV_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(network, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(43)
         # Token 3 fills most positions; rows 0 and 3 are equal, row 2 is
         # narrower than the widest window, and every other row ends in PAD.
@@ -671,6 +677,41 @@ class TestInferenceMode:
         np.testing.assert_array_equal(running["h"][0].view(np.uint64),
                                       kept["h"][-1].view(np.uint64))
 
+    def test_one_step_projection_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        gates = random_direction(rng, 4, 3)
+        x = rng.normal(size=(9, 6, 3))
+        lengths = np.array([7, 5, 5, 2, 0, 0])
+        active = (lengths > np.arange(9)[:, None]).sum(axis=1)
+        whole = _gru_scan(x, active, gates)
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 1)
+        blocked = _gru_scan(x, active, gates)
+        running = _gru_scan(x, active, gates, keep=False)
+        np.testing.assert_array_equal(blocked["h"].view(np.uint64), whole["h"].view(np.uint64))
+        np.testing.assert_array_equal(running["h"][0].view(np.uint64),
+                                      whole["h"][-1].view(np.uint64))
+        valid = np.arange(9)[:, None] < lengths
+        for name in ("z", "r", "c"):
+            np.testing.assert_array_equal(blocked[name][valid].view(np.uint64),
+                                          whole[name][valid].view(np.uint64), err_msg=name)
+
+    def test_inference_scan_holds_one_block_of_projections(self):
+        """At T=400 the (T, B, 3H) projections of a paper-shape scan take
+        79 MB; without ``keep`` the scan holds one block of them."""
+        steps, batch, inputs, hidden = 400, 128, 16, 128
+        rng = np.random.default_rng(37)
+        gates = {name: g.astype(np.float32)
+                 for name, g in random_direction(rng, hidden, inputs, scale=0.1).items()}
+        x = rng.normal(size=(steps, batch, inputs)).astype(np.float32)
+        active = np.full(steps, batch)
+        tracemalloc.start()
+        try:
+            _gru_scan(x, active, gates, keep=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < steps * batch * 3 * hidden * x.itemsize / 4, peak
+
     def test_inference_peak_memory_below_half_of_training_mode(self):
         """numpy reports its buffers to tracemalloc, so this bound is
         structural: it counts the arrays alive at once, not time."""
@@ -695,6 +736,170 @@ class TestInferenceMode:
         inference = peak_bytes()
         training = peak_bytes(np.ones((16, summary_width(cfg)), np.float32))
         assert inference < training / 2, (inference, training)
+
+
+class TestTwoThreadDirections:
+    """A BiGRU's backward direction on the module's second thread, while the
+    caller runs the forward one, gives the bits of both on one thread."""
+
+    @staticmethod
+    def force(monkeypatch, threaded):
+        monkeypatch.setattr(network, "_use_two_threads", lambda batch, hidden: threaded)
+
+    @staticmethod
+    def model_and_batch(dtype=np.float64, windows=(2, 3), pooling=None):
+        _, vocab, params = tiny_model(dtype=dtype, dropout=0.4, windows=windows, seed=7)
+        params.config = dataclasses.replace(params.config, **(pooling or {}))
+        rng = np.random.default_rng(17)
+        # Unsorted lengths with a tie and rows shorter than the widest window.
+        indices, mask = pad_rows([rng.integers(2, vocab.size, n)
+                                  for n in (5, 1, 17, 3, 5, 2, 30)])
+        return params, Batch(indices, mask, rng.uniform(0, 1, len(indices)),
+                             tuple(range(len(indices))))
+
+    @staticmethod
+    def bits(a):
+        a = np.asarray(a)
+        return a.view(f"u{a.itemsize}")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("windows, pooling", [((2, 3), {}),
+                                                  ((1, 2, 4), {"pool_size": 3, "pool_stride": 2})],
+                             ids=["default", "windows-1-2-4-pool-3-2"])
+    def test_threaded_predictions_loss_and_gradients_are_bitwise_serial(
+            self, dtype, windows, pooling, monkeypatch):
+        params, batch = self.model_and_batch(dtype, windows, pooling)
+        threads = {}
+        for name in ("_gru_scan", "_gru_scan_backward"):
+            def record(*args, _scan=getattr(network, name), **kwargs):
+                threads.setdefault(args[3][-3:], set()).add(threading.get_ident())
+                return _scan(*args, **kwargs)
+            monkeypatch.setattr(network, name, record)
+
+        def run(threaded):
+            self.force(monkeypatch, threaded)
+            threads.clear()
+            yhat, _ = forward_batch(batch.indices, batch.mask, params)
+            loss, grads = backward(batch, params, 11)
+            return yhat, loss, grads, {d: set(t) for d, t in threads.items()}
+
+        yhat, loss, grads, serial = run(False)
+        t_yhat, t_loss, t_grads, threaded = run(True)
+        caller = threading.get_ident()
+        assert serial == {"fw.": {caller}, "bw.": {caller}}
+        assert threaded["fw."] == {caller} and caller not in threaded["bw."]
+        np.testing.assert_array_equal(self.bits(t_yhat), self.bits(yhat))
+        assert self.bits(t_loss) == self.bits(loss)
+        assert list(t_grads) == list(grads)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(self.bits(t_grads[name]), self.bits(g),
+                                          err_msg=name)
+
+    def test_one_cpu_of_affinity_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not network._use_two_threads(128, 128)
+
+    def test_cv_micro_shape_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert not network._use_two_threads(32, 32)
+        assert network._use_two_threads(128, 128)  # the paper shape
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        class WorkerFailure(Exception):
+            pass
+
+        scan = network._gru_scan
+
+        def failing(x, active, gates, prefix="", keep=True):
+            if prefix.endswith("bw."):
+                raise WorkerFailure(threading.current_thread().name)
+            return scan(x, active, gates, prefix, keep)
+
+        monkeypatch.setattr(network, "_gru_scan", failing)
+        self.force(monkeypatch, True)
+        params, batch = self.model_and_batch()
+        with pytest.raises(WorkerFailure) as info:
+            forward_batch(batch.indices, batch.mask, params)
+        assert str(info.value) != threading.current_thread().name
+
+    def test_caller_exception_waits_for_the_worker(self, monkeypatch):
+        class CallerFailure(Exception):
+            pass
+
+        started, finished = threading.Event(), threading.Event()
+        scan = network._gru_scan
+
+        def slow_worker(x, active, gates, prefix="", keep=True):
+            if prefix.endswith("fw."):
+                assert started.wait(timeout=60)
+                raise CallerFailure
+            started.set()
+            time.sleep(0.2)
+            result = scan(x, active, gates, prefix, keep)
+            finished.set()
+            return result
+
+        monkeypatch.setattr(network, "_gru_scan", slow_worker)
+        self.force(monkeypatch, True)
+        params, batch = self.model_and_batch()
+        with pytest.raises(CallerFailure):
+            forward_batch(batch.indices, batch.mask, params)
+        assert finished.is_set()
+
+    def test_concurrent_callers_get_the_serial_predictions(self, monkeypatch):
+        """More callers than CPUs share one model and the one second thread,
+        with thread switches forced often."""
+        params, batch = self.model_and_batch(np.float32)
+        self.force(monkeypatch, False)
+        want = self.bits(forward_batch(batch.indices, batch.mask, params)[0])
+        self.force(monkeypatch, True)
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(20):
+                    results.append(forward_batch(batch.indices, batch.mask, params)[0])
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert len(results) == 80
+        for got in results:
+            np.testing.assert_array_equal(self.bits(got), want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scores_on_a_second_thread_of_its_own(self, monkeypatch):
+        params, batch = self.model_and_batch()
+        self.force(monkeypatch, True)
+        want = self.bits(forward_batch(batch.indices, batch.mask, params)[0])
+        pid = os.fork()
+        if pid == 0:  # the child: its copy of the parent's worker thread is gone
+            code = 1
+            try:
+                got = self.bits(forward_batch(batch.indices, batch.mask, params)[0])
+                code = 0 if np.array_equal(got, want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish scoring")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
 
 
 class TestEmbeddingScatter:

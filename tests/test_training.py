@@ -238,6 +238,12 @@ class TestPredictNormalized:
         permuted = predict_normalized(params, vocab, [essays[i] for i in perm], 3)
         np.testing.assert_array_equal(permuted, got[perm])
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        _, vocab, params = tiny_model()
+        with pytest.raises(UsageError, match="batch_size"):
+            predict_normalized(params, vocab, self.essays(vocab, (4, 7, 2)), batch_size)
+
     def test_no_essays_no_scores(self):
         _, vocab, params = tiny_model()
         got = predict_normalized(params, vocab, [])
