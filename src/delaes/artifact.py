@@ -108,6 +108,8 @@ def load_model(path) -> ModelArtifact:
             name = reader.take(reader.u32()).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name is not UTF-8") from None
+        if name in tensors:
+            raise FormatError(f"{path}: tensor {name!r} appears twice")
         ndim = reader.u32()
         shape = tuple(reader.u32() for _ in range(ndim))
         raw = reader.take(math.prod(shape) * 4)

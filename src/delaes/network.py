@@ -22,14 +22,18 @@ added.  So when a batch is large enough (batch rows × hidden units at least
 :data:`_TWO_THREAD_MIN_WORK`) and the process may run on two CPUs, the
 backward direction runs on one worker thread, started on first use, while
 the caller runs the forward one; concurrent callers queue on that thread.
-Results are the same bit for bit either way.
+Under the same rule the conv backward splits too: the worker takes the
+input-gradient GEMM and its embedding scatter while the caller runs the
+weight-gradient GEMM.  Results are the same bit for bit either way.
 
 Padding only follows an essay's real tokens, and each row
 carries its real extent as a length: ``n`` tokens, ``max(n - k + 1, 0)``
 positions of window ``k``, and the pooled windows its unpadded map has.
 Past its length a row is treated exactly like the end of its essay, so
 padding cannot change a score, whatever the pool and stride: an essay
-scores the same alone or in any batch.
+scores the same alone or in any batch.  Padding gets no gradient either,
+so the conv backward skips it, working over each block of rows only up to
+the block's longest essay.
 """
 from __future__ import annotations
 
@@ -383,20 +387,26 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
     return pres
 
 
-def _conv_batch_backward(table: np.ndarray, indices: np.ndarray,
+def _conv_batch_backward(table: np.ndarray, indices: np.ndarray, lengths: np.ndarray,
                          d_pres: Sequence[np.ndarray], weights: Sequence[np.ndarray],
-                         g_table: np.ndarray | None = None):
+                         g_table: np.ndarray | None = None, threaded: bool = False):
     """Gradients of :func:`_conv_pre_batch` for every channel's pre-activation
     gradient (B, P, F): a ``(weights, bias)`` gradient pair per channel.
     Given ``g_table`` (V, d), each gathered row's input gradient is also
     added into it at that row's index (PAD skipped, see :func:`_scatter_rows`).
 
-    The shifted-gradient matrix ``D`` (B·L, Σk·F) holds channel ``c``'s
-    gradient at position ``p`` in row ``p + j`` of its offset-``j`` columns,
-    so the stacked weight gradient is ``Eᵀ·D`` and the input gradient is
-    ``D·W_allᵀ``.  ``D`` is built one :func:`_row_blocks` block at a time in
-    a reused buffer: per block, the weight-gradient GEMM and, for
-    ``g_table``, the input-gradient GEMM and its scatter.
+    Row ``i`` of ``indices`` has ``lengths[i]`` real tokens, and every
+    ``d_pres`` row must be zero past its real positions, as pooling leaves
+    it: padding gets no gradient.  The shifted-gradient matrix ``D`` holds
+    channel ``c``'s gradient at position ``p`` in token row ``p + j`` of its
+    offset-``j`` columns, so the stacked weight gradient is ``Eᵀ·D`` and the
+    input gradient is ``D·W_allᵀ``.  ``D`` is built one :func:`_row_blocks`
+    block at a time in a reused buffer, over only the block's longest real
+    length of tokens: the rest of its rows would be zero.  Per block, the
+    weight-gradient GEMM runs and, for ``g_table``, the input-gradient GEMM
+    and its scatter; when ``threaded``, those two run on
+    :func:`_second_thread` meanwhile.  Each accumulator is summed on one
+    thread in block order, so threading changes no bit.
     """
     b, length = indices.shape
     d = table.shape[1]
@@ -405,20 +415,30 @@ def _conv_batch_backward(table: np.ndarray, indices: np.ndarray,
     g_stacked = np.zeros((d, stacked.shape[1]), dtype=table.dtype)
     buf = None
     for rows in _row_blocks(b, length * stacked.shape[1] * table.itemsize):
-        n = rows.stop - rows.start
+        n, width = rows.stop - rows.start, int(lengths[rows].max())
         if buf is None:
-            # Blocks write only positions j..j+p of offset j's columns, so
-            # the rest stays zero from here on.
-            buf = np.zeros((n, length, stacked.shape[1]), dtype=table.dtype)
-        shifted = buf[:n]
+            buf = np.empty(n * length * stacked.shape[1], dtype=table.dtype)
+        shifted = buf[:n * width * stacked.shape[1]].reshape(n, width, -1)
         for (f, k, col), d_pre in zip(columns, d_pres):
-            p = d_pre.shape[1]
+            p = max(width - k + 1, 0)
             for j in range(k):
-                shifted[:, j:j + p, col + j * f:col + (j + 1) * f] = d_pre[rows]
+                block = shifted[:, :, col + j * f:col + (j + 1) * f]
+                block[:, :j] = 0
+                block[:, j:j + p] = d_pre[rows, :p]
+                block[:, j + p:] = 0
         flat = shifted.reshape(-1, stacked.shape[1])
-        g_stacked += table[indices[rows]].reshape(-1, d).T @ flat
-        if g_table is not None:
-            _scatter_rows(g_table, indices[rows].ravel(), flat @ stacked.T)
+        block_indices = indices[rows, :width]
+
+        def weight_gradient():
+            np.add(g_stacked, table[block_indices].reshape(-1, d).T @ flat, out=g_stacked)
+
+        if g_table is None:
+            weight_gradient()
+        else:
+            _both_directions(
+                weight_gradient,
+                lambda: _scatter_rows(g_table, block_indices.ravel(), flat @ stacked.T),
+                threaded)
     return [(g_stacked[:, col:col + k * f].reshape(d, k, f).transpose(2, 1, 0)
              .reshape(f, k * d), d_pre.sum(axis=(0, 1)))
             for (f, k, col), d_pre in zip(columns, d_pres)]
@@ -765,8 +785,9 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     caller_yhat[order] = yhat
     if not keep:
         return caller_yhat, None
-    return caller_yhat, {"order": order, "indices": indices, "channels": channels,
-                         "dropped": concat, "drop_mask": drop_mask, "yhat": yhat}
+    return caller_yhat, {"order": order, "indices": indices, "lengths": lengths,
+                         "channels": channels, "dropped": concat, "drop_mask": drop_mask,
+                         "yhat": yhat}
 
 
 def _scatter_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray):
@@ -819,9 +840,10 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
         d_pres.append(d_fm * (pre > 0))
     g_embedding = np.zeros_like(tensors["embedding"])
     conv_grads = _conv_batch_backward(
-        tensors["embedding"], cache["indices"], d_pres,
+        tensors["embedding"], cache["indices"], cache["lengths"], d_pres,
         [tensors[f"conv{k}.weights"] for k in cfg.windows],
-        g_embedding if cfg.trainable_embeddings else None)
+        g_embedding if cfg.trainable_embeddings else None,
+        _use_two_threads(len(yhat), cfg.hidden_units))
     for k, g, (g_w, g_b) in zip(cfg.windows, gru_grads, conv_grads):
         grads.update(g)
         grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = g_w, g_b

@@ -94,6 +94,25 @@ class TestRejection:
         with pytest.raises(FormatError, match="truncated"):
             load_model(path)
 
+    def test_repeated_tensor_name(self, saved):
+        import struct
+
+        path, _, params, _ = saved
+        raw = path.read_bytes()
+        meta_len = struct.unpack_from("<I", raw, 8)[0]
+        start = 12 + meta_len
+        count = struct.unpack_from("<I", raw, start)[0]
+        name = b"conv2.bias"
+        shape = params.tensors["conv2.bias"].shape
+        # An extra first copy of conv2.bias, all 9s, before the file's own.
+        extra = (struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+                 + b"".join(struct.pack("<I", dim) for dim in shape)
+                 + np.full(shape, 9, dtype="<f4").tobytes())
+        path.write_bytes(raw[:start] + struct.pack("<I", count + 1) + extra
+                         + raw[start + 4:])
+        with pytest.raises(FormatError, match="tensor 'conv2.bias' appears twice"):
+            load_model(path)
+
     def test_shape_metadata_mismatch(self, saved):
         import json
         import struct

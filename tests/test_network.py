@@ -560,7 +560,8 @@ class TestStackedConv:
                               for i in range(len(mask))])
             d_pres.append(rng.normal(size=pre.shape) * valid[:, :, None])
         g_table = np.zeros_like(table)
-        grads = _conv_batch_backward(table, positions, d_pres, weights, g_table)
+        grads = _conv_batch_backward(table, positions, mask.sum(axis=1), d_pres, weights,
+                                     g_table)
         d_emb = g_table[1:].reshape(emb.shape)
         want_d_emb = np.zeros_like(emb)
         for w, d_pre, (g_w, g_b) in zip(weights, d_pres, grads):
@@ -597,6 +598,55 @@ class TestStackedConv:
             np.testing.assert_allclose(pre, conv_batch_loop(emb, w.astype(np.float64),
                                                             b.astype(np.float64)), **tol)
             np.testing.assert_array_equal(pre[0].view(bits), pre[3].view(bits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_backward_over_real_tokens_matches_per_offset_loop(self, dtype, block_bytes,
+                                                               monkeypatch):
+        """Each row block's backward runs over its own longest real length."""
+        if block_bytes is not None:  # one batch row per block, of its own width
+            monkeypatch.setattr(network, "_BLOCK_BYTES", block_bytes)
+        scattered = []
+
+        def spy(target, rows, values):
+            scattered.append(len(rows))
+            return _scatter_rows(target, rows, values)
+
+        monkeypatch.setattr(network, "_scatter_rows", spy)
+        rng = np.random.default_rng(47)
+        # Unsorted, very different lengths; row 2 is narrower than the widest window.
+        lengths = np.array([9, 2, 1, 7, 3])
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        # Row 1 + i of the table is flat position i of the batch, so every
+        # position gets its own gradient row; PAD (row 0) is skipped.
+        positions = np.where(mask, np.arange(1, mask.size + 1).reshape(mask.shape), PAD_INDEX)
+        table = rng.normal(size=(mask.size + 1, self.DIM)).astype(dtype)
+        table[PAD_INDEX] = 0.0
+        weights = [rng.normal(size=(self.FILTERS, k * self.DIM)).astype(dtype)
+                   for k in self.WINDOWS]
+        d_pres = []
+        for k in self.WINDOWS:
+            p = mask.shape[1] - k + 1
+            real = np.arange(p) < (lengths - k + 1)[:, None]
+            d_pres.append((rng.normal(size=(len(lengths), p, self.FILTERS))
+                           * real[:, :, None]).astype(dtype))
+        g_table = np.zeros_like(table)
+        grads = _conv_batch_backward(table, positions, lengths, d_pres, weights, g_table)
+        tol = ({"rtol": 1e-12, "atol": 1e-14} if dtype == np.float64
+               else {"rtol": 1e-5, "atol": 1e-5})
+        emb = table[positions].astype(np.float64)
+        want_d_emb = np.zeros_like(emb)
+        for w, d_pre, (g_w, g_b) in zip(weights, d_pres, grads):
+            assert g_w.dtype == g_b.dtype == dtype
+            want_w, want_b, d_emb_k = conv_batch_backward_loop(
+                emb, d_pre.astype(np.float64), w.astype(np.float64))
+            np.testing.assert_allclose(g_w, want_w, **tol)
+            np.testing.assert_allclose(g_b, want_b, **tol)
+            want_d_emb += d_emb_k
+        np.testing.assert_allclose(g_table[positions], want_d_emb, **tol)
+        assert not g_table[PAD_INDEX].any()
+        if block_bytes is not None:
+            assert sum(scattered) == lengths.sum()  # not B·L = 45
 
 
 class TestRowOrder:
@@ -794,6 +844,26 @@ class TestTwoThreadDirections:
         for name, g in grads.items():
             np.testing.assert_array_equal(self.bits(t_grads[name]), self.bits(g),
                                           err_msg=name)
+
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_conv_input_gradient_runs_on_the_second_thread_when_split(self, threaded,
+                                                                       monkeypatch):
+        params, batch = self.model_and_batch()
+        threads = set()
+        scatter = network._scatter_rows
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            return scatter(*args)
+
+        monkeypatch.setattr(network, "_scatter_rows", record)
+        self.force(monkeypatch, threaded)
+        backward(batch, params, 11)
+        caller = threading.get_ident()
+        if threaded:
+            assert threads and caller not in threads
+        else:
+            assert threads == {caller}
 
     def test_one_cpu_of_affinity_runs_serially(self, monkeypatch):
         monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0}, raising=False)
