@@ -1,13 +1,14 @@
 """Pre-trained word vectors and the trainable embedding matrix."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import PAD_INDEX, Vocabulary, text_lines
-from .errors import DomainError, FormatError, UsageError
+from .errors import DomainError, EncodingError, FormatError, UsageError
 
 
 @dataclass(frozen=True)
@@ -32,26 +33,80 @@ class EmbeddingMatrix:
     trainable: bool = True
 
 
-# A value past the float32 range casts to inf, and inf·0 is NaN: the
-# finiteness check reports both with their line, so the warnings of the cast
-# and of the check would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
+class _Irregular(Exception):
+    """A line the streamed parse leaves to :func:`_load_by_line`."""
+
+
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     """Parse a UTF-8 embedding file: one token plus ``expected_dim`` reals per line.
 
     An optional header of the form ``count dim`` on the first non-blank line
-    is recognized and skipped.  Duplicate tokens keep their first occurrence.
-    A component that is NaN, infinite or past the float32 range is a
-    :class:`FormatError` naming its line.
+    is recognized and skipped; the file must then hold exactly ``count``
+    vector lines.  Duplicate tokens keep their first occurrence.  A component
+    that is NaN, infinite or past the float32 range is a :class:`FormatError`
+    naming its line.
+
+    Every real goes through one streamed ``np.loadtxt`` parse into an
+    ``(N, expected_dim)`` float32 matrix, whose rows become the table's
+    vectors.  A file that parse cannot take whole (a bad line or byte, a
+    wrong width or count, a non-finite value, or a real such as ``1_0`` that
+    ``float`` accepts and ``loadtxt`` does not) is read again line by line,
+    which gives the same vectors, or the first error in file order.
     """
     if expected_dim < 1:
         raise DomainError("expected_dim must be >= 1")
+    tokens: list[str] = []
+    count = None
+
+    def values():
+        nonlocal count
+        for i, (_, line) in enumerate(text_lines(path)):
+            if i == 0:
+                fields = line.split()
+                if len(fields) == 2 and _both_ints(fields):
+                    if int(fields[1]) != expected_dim:
+                        raise _Irregular
+                    count = int(fields[0])
+                    continue
+            fields = line.split(maxsplit=1)
+            if len(fields) < 2:
+                raise _Irregular
+            tokens.append(fields[0])
+            yield fields[1]
+
+    rows = values()
+    try:
+        first = next(rows, None)
+        # loadtxt warns on empty input, so an empty file never reaches it.
+        matrix = (np.empty((0, expected_dim), dtype=np.float32) if first is None
+                  else np.loadtxt(itertools.chain((first,), rows), dtype=np.float32,
+                                  comments=None, ndmin=2))
+    except (_Irregular, ValueError, EncodingError):
+        return _load_by_line(path, expected_dim)
+    if (matrix.shape[1] != expected_dim or not np.isfinite(matrix).all()
+            or (count is not None and count != len(tokens))):
+        return _load_by_line(path, expected_dim)
+    vectors: dict[str, np.ndarray] = {}
+    for token, vector in zip(tokens, matrix):
+        vectors.setdefault(token, vector)
+    return EmbeddingTable(dimension=expected_dim, vectors=vectors)
+
+
+# A value past the float32 range casts to inf, and inf·0 is NaN: the
+# finiteness check reports both with their line, so the warnings of the cast
+# and of the check would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
+def _load_by_line(path, expected_dim: int) -> EmbeddingTable:
+    """:func:`load_embeddings` one line at a time, with Python's ``float``:
+    the source of every :class:`FormatError` the loader raises."""
     vectors: dict[str, np.ndarray] = {}
     zeros = np.zeros(expected_dim, dtype=np.float32)
+    count = None
+    found = 0
     for i, (lineno, line) in enumerate(text_lines(path)):
         fields = line.split()
         if i == 0 and len(fields) == 2 and _both_ints(fields):
-            declared = int(fields[1])
+            count, declared = int(fields[0]), int(fields[1])
             if declared != expected_dim:
                 raise FormatError(
                     f"{path}:{lineno}: header declares dimension {declared}, "
@@ -72,8 +127,11 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
         # checks every component: half the cost of isfinite().all().
         if vector @ zeros != 0:
             raise FormatError(f"{path}:{lineno}: non-finite vector component")
+        found += 1
         if token not in vectors:
             vectors[token] = vector
+    if count is not None and count != found:
+        raise FormatError(f"{path}: header declares {count} vectors, found {found}")
     return EmbeddingTable(dimension=expected_dim, vectors=vectors)
 
 

@@ -223,3 +223,57 @@ def conv_batch_backward_loop(emb, d_pre, weights):
         g_w[:, j * dim:(j + 1) * dim] = d_pre.reshape(-1, d_pre.shape[2]).T @ window
         d_emb[:, j:j + p, :] += d_pre @ weights[:, j * dim:(j + 1) * dim]
     return g_w, d_pre.sum(axis=(0, 1)), d_emb
+
+
+class EmbeddingFormatError(Exception):
+    """The oracle's rejection of an embedding file; its message is the one
+    the library's ``FormatError`` must carry."""
+
+
+def load_embeddings_loop(path, expected_dim):
+    """Token -> float32 vector map of a UTF-8 embedding file, one line at a
+    time with Python's ``float``.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and blank ones are skipped, but
+    counted in line numbers.  A first non-blank line of two integers is a
+    ``count dim`` header: ``dim`` must equal ``expected_dim`` and the file
+    must hold ``count`` vector lines.  Duplicates keep their first vector;
+    NaN, infinities and reals past the float32 range are rejected.
+    """
+    vectors = {}
+    count = None
+    found = 0
+    with open(path, encoding="utf-8") as fh:
+        lines = [(n, raw.rstrip("\n")) for n, raw in enumerate(fh, start=1)]
+    real = [(n, line) for n, line in lines if line and not line.isspace()]
+    for i, (lineno, line) in enumerate(real):
+        fields = line.split()
+        if i == 0 and len(fields) == 2:
+            try:
+                count, declared = int(fields[0]), int(fields[1])
+            except ValueError:
+                pass
+            else:
+                if declared != expected_dim:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: header declares dimension {declared}, "
+                        f"expected {expected_dim}")
+                continue
+        token, values = fields[0], fields[1:]
+        if len(values) != expected_dim:
+            raise EmbeddingFormatError(
+                f"{path}:{lineno}: expected {expected_dim} vector components, "
+                f"found {len(values)}")
+        try:
+            parsed = [float(v) for v in values]
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+        with np.errstate(over="ignore"):
+            vector = np.array(parsed, dtype=np.float32)
+        if not np.isfinite(vector).all():
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite vector component")
+        found += 1
+        vectors.setdefault(token, vector)
+    if count is not None and count != found:
+        raise EmbeddingFormatError(f"{path}: header declares {count} vectors, found {found}")
+    return vectors
