@@ -33,6 +33,8 @@ _TOKEN_RE = re.compile(r"@[a-z]+\d*|\w+|[^\w\s]")
 
 _REQUIRED_COLUMNS = ("essay_id", "essay_set", "essay", "domain1_score")
 
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
 _ENCODINGS = {
     "latin1": "latin-1",
     "latin-1": "latin-1",
@@ -226,20 +228,23 @@ def text_lines(path, encoding: str = "utf8") -> Iterator[tuple[int, str]]:
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``; line numbers count
     every physical line, blank ones included; only the line ending is
     removed, so tabs and spaces at either end are kept.  ``encoding`` is
-    ``latin1`` or ``utf8``; undecodable bytes raise :class:`EncodingError`
-    naming the path.
+    ``latin1`` or ``utf8``; an undecodable byte raises
+    :class:`EncodingError` naming the path, in place of its line, so every
+    line before it is read first.
     """
     codec = _ENCODINGS.get(encoding.lower())
     if codec is None:
         raise UsageError(f"unsupported encoding {encoding!r} (use latin1 or utf8)")
-    with open(path, "r", encoding=codec) as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if line and not line.isspace():
-                    yield lineno, line
-        except UnicodeDecodeError:
-            raise EncodingError(_decode_failure(path, codec)) from None
+    # surrogateescape decodes each bad byte to U+DC80..U+DCFF, which no valid
+    # input decodes to, so the error surfaces at its line and not at the
+    # decoding chunk that holds it.
+    with open(path, "r", encoding=codec, errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line and not line.isspace():
+                if not line.isascii() and _ESCAPED_BYTE.search(line):
+                    raise EncodingError(_decode_failure(path, codec))
+                yield lineno, line
 
 
 def _line_breaks(data: bytes) -> int:

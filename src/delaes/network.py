@@ -22,7 +22,8 @@ added.  So when a batch is large enough (batch rows × hidden units at least
 :data:`_TWO_THREAD_MIN_WORK`) and the process may run on two CPUs, the
 backward direction runs on one worker thread, started on first use, while
 the caller runs the forward one; concurrent callers queue on that thread.
-Under the same rule the conv backward splits too: the worker takes the
+Under the same rule the convolution splits too: forward, the caller and the
+worker take alternate blocks of batch rows; backward, the worker takes the
 input-gradient GEMM and its embedding scatter while the caller runs the
 weight-gradient GEMM.  Results are the same bit for bit either way.
 
@@ -31,9 +32,11 @@ carries its real extent as a length: ``n`` tokens, ``max(n - k + 1, 0)``
 positions of window ``k``, and the pooled windows its unpadded map has.
 Past its length a row is treated exactly like the end of its essay, so
 padding cannot change a score, whatever the pool and stride: an essay
-scores the same alone or in any batch.  Padding gets no gradient either,
-so the conv backward skips it, working over each block of rows only up to
-the block's longest essay.
+scores the same alone or in any batch.  So the conv forward computes over
+each block of rows only up to the block's longest essay, and, as padding
+gets no gradient, the conv backward does too.  The training cache keeps,
+per channel, each window's argmax offset and whether its pooled value is
+positive, which is all the ReLU and the pool need in reverse.
 """
 from __future__ import annotations
 
@@ -221,7 +224,8 @@ def maxpool(feature_map: np.ndarray, pool: int, stride: int) -> np.ndarray:
     if pool < 1 or stride < 1:
         raise DomainError("pool and stride must be >= 1")
     fm = np.asarray(feature_map)[None].transpose(0, 2, 1)  # (1, width, filters)
-    pooled, _, lengths = _maxpool_batch(fm, np.array([fm.shape[1]]), pool, stride)
+    # Every position is real, so pooling writes nothing into the caller's map.
+    pooled, _, lengths = _maxpool_batch(fm, np.array([fm.shape[1]]), pool, stride, False)
     return pooled[0, :lengths[0]].T
 
 
@@ -342,7 +346,8 @@ def _row_blocks(rows: int, row_bytes: int):
 
 
 def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
-                    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+                    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+                    lengths: np.ndarray | None = None, threaded: bool = False):
     """Pre-activations (B, P, F) of every channel over the rows of ``table``
     (V, d) that ``indices`` (B, L) picks, with ``P = max(L - k + 1, 0)``
     positions for window ``k``.
@@ -353,10 +358,17 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
     :func:`_stack_conv_weights`, so PAD and repeated words cost a gather of
     their row, not a GEMM row.  A channel's output at position ``p`` sums
     its offset-``j`` columns at token ``p + j``, one shifted add per offset.
-    Gather and shift-adds run over :func:`_row_blocks` of the batch into
-    one reused buffer, so the (B, L, Σk·F) products never exist at once.
-    Positions whose window reaches padding are computed too; the callers'
-    lengths keep them out of the layers downstream.
+    Gather and shift-adds run over :func:`_row_blocks` of the batch into a
+    reused buffer, so the (B, L, Σk·F) products never exist at once.
+
+    Row ``i`` has ``lengths[i]`` real tokens (every row is real to its end
+    when ``lengths`` is None).  A block is gathered and summed only up to
+    its longest real length; its positions past that are zero, and those
+    of a shorter row before it reach padding.  When ``threaded``, the
+    blocks alternate between the caller and :func:`_second_thread`, each
+    with a buffer of its own.  Every position is computed by the same
+    operations either way, so neither the trim nor the threads change a
+    bit of a real position.
     """
     b, length = indices.shape
     d = table.shape[1]
@@ -370,20 +382,27 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
     # that grows with a GEMM's rows: block the projection as the products.
     for chunk in _row_blocks(len(tokens), stacked.shape[1] * table.itemsize):
         np.matmul(table[tokens[chunk]], stacked, out=projected[chunk])
-    buf = None
-    for rows in _row_blocks(b, length * stacked.shape[1] * table.itemsize):
-        n = rows.stop - rows.start
-        if buf is None:
-            buf = np.empty((n, length, stacked.shape[1]), dtype=table.dtype)
-        products = buf[:n]
-        # mode="clip" writes straight into ``out``; the default "raise"
-        # gathers into a temporary first, 3x slower.  Every index is in range.
-        np.take(projected, inverse[rows], axis=0, out=products, mode="clip")
-        for (f, k, col), bias, pre in zip(columns, biases, pres):
-            p = pre.shape[1]
-            block = np.add(products[:, :p, col:col + f], bias, out=pre[rows])
-            for j in range(1, k):
-                block += products[:, j:j + p, col + j * f:col + (j + 1) * f]
+
+    def fill(blocks):
+        buf = None
+        for rows in blocks:
+            n = rows.stop - rows.start
+            width = length if lengths is None else int(lengths[rows].max())
+            if buf is None:
+                buf = np.empty(n * length * stacked.shape[1], dtype=table.dtype)
+            products = buf[:n * width * stacked.shape[1]].reshape(n, width, -1)
+            # mode="clip" writes straight into ``out``; the default "raise"
+            # gathers into a temporary first, 3x slower.  Every index is in range.
+            np.take(projected, inverse[rows, :width], axis=0, out=products, mode="clip")
+            for (f, k, col), bias, pre in zip(columns, biases, pres):
+                p = max(width - k + 1, 0)
+                block = np.add(products[:, :p, col:col + f], bias, out=pre[rows, :p])
+                for j in range(1, k):
+                    block += products[:, j:j + p, col + j * f:col + (j + 1) * f]
+                pre[rows, p:] = 0
+
+    blocks = _row_blocks(b, length * stacked.shape[1] * table.itemsize)
+    _both_directions(lambda: fill(blocks[::2]), lambda: fill(blocks[1::2]), threaded)
     return pres
 
 
@@ -444,36 +463,50 @@ def _conv_batch_backward(table: np.ndarray, indices: np.ndarray, lengths: np.nda
             for (f, k, col), d_pre in zip(columns, d_pres)]
 
 
-def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int):
+def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int,
+                   argmax: bool = True):
     """Temporal max-pooling of a (B, width, F) map whose row ``i`` has
     ``lengths[i]`` real positions, then padding.
 
     Returns pooled values (B, T, F), each window's argmax offset (B, T, F;
-    the smallest unsigned integer type that holds ``pool - 1``) and pooled
-    lengths (B,).  A row of ``c`` positions gets the windows of its
-    unpadded map (:func:`maxpool`), those that start inside it,
-    ``min(ceil(c / stride), max(1, ceil((c - pool) / stride) + 1))``, none
-    for ``c = 0``; the windows after them pool to zero.  Every position past
-    a row's length holds -inf, so it never wins: per offset inside the
-    window, the offset replaces the running best where it is greater or NaN
-    and the best is not NaN, as ``np.argmax`` picks (first maximum, NaN wins).
+    the smallest unsigned integer type that holds ``pool - 1``), or None
+    without ``argmax``, and pooled lengths (B,).  A row of ``c`` positions
+    gets the windows of its unpadded map (:func:`maxpool`), those that
+    start inside it, ``min(ceil(c / stride), max(1, ceil((c - pool) /
+    stride) + 1))``, none for ``c = 0``; the windows after them pool to
+    zero.
+
+    ``fm`` is overwritten with -inf past each row's length, so padding never
+    wins.  Per offset inside the window, ``np.maximum(candidate, best)``
+    keeps the running maximum: the greater, the best on a tie (so +0 stays
+    ahead of a later -0), and NaN if either is NaN (which NaN, when several
+    meet, is unspecified).  The argmax offset moves where the candidate is
+    greater or NaN and the best is not NaN, as ``np.argmax`` picks (first
+    maximum, NaN wins).
     """
     def windows(c):  # windows of a c-position map, the last partial one kept
         return np.maximum(1, -(-(c - pool) // stride) + 1)
 
     b, width, f = fm.shape
     t = int(windows(width))
-    span, last = (t - 1) * stride + pool, (t - 1) * stride + 1
-    masked = np.full((b, span, f), -np.inf, dtype=fm.dtype)
-    np.copyto(masked[:, :width], fm,
-              where=np.arange(width)[:, None] < lengths[:, None, None])
-    pooled = masked[:, :last:stride].copy()
-    offset = np.zeros((b, t, f), dtype=np.min_scalar_type(pool - 1))
+    last = (t - 1) * stride + 1
+    for i in np.flatnonzero(lengths < width):
+        fm[i, lengths[i]:] = -np.inf
+    # Offset ``o`` reaches into the map for the first windows only; offset 0
+    # reaches every window unless the map is empty, and then the zeroing
+    # below covers every window.
+    pooled = np.empty((b, t, f), dtype=fm.dtype)
+    first = fm[:, :last:stride]
+    pooled[:, :first.shape[1]] = first
+    offset = np.zeros((b, t, f), dtype=np.min_scalar_type(pool - 1)) if argmax else None
     for o in range(1, pool):
-        cand = masked[:, o:o + last:stride]
-        better = (pooled == pooled) & ~(cand <= pooled)
-        np.copyto(pooled, cand, where=better)
-        np.copyto(offset, o, where=better)
+        cand = fm[:, o:o + last:stride]
+        best = pooled[:, :cand.shape[1]]
+        if argmax:  # offsets only grow, so the latest better one is the largest
+            better = (best == best) & ~(cand <= best)
+            moved = offset[:, :cand.shape[1]]
+            np.maximum(moved, np.multiply(better, o, dtype=offset.dtype), out=moved)
+        np.maximum(cand, best, out=best)
     pooled_lengths = np.minimum(-(-lengths // stride), windows(lengths))
     pooled[np.arange(t) >= pooled_lengths[:, None]] = 0
     return pooled, offset, pooled_lengths
@@ -758,19 +791,20 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     indices, lengths = indices[order], lengths[order]
     pres = _conv_pre_batch(tensors["embedding"], indices,
                            [tensors[f"conv{k}.weights"] for k in cfg.windows],
-                           [tensors[f"conv{k}.bias"] for k in cfg.windows])
+                           [tensors[f"conv{k}.bias"] for k in cfg.windows],
+                           lengths, _use_two_threads(len(indices), cfg.hidden_units))
     channels = []
     summaries = []
     for k in cfg.windows:
+        # The ReLU goes in place and pooling overwrites its padding: backprop
+        # needs only where each window's maximum came from and its sign.
         pre = pres.pop(0)
-        # Backprop reads the raw pre-activations; inference drops them, so
-        # its ReLU reuses their buffer.
         pooled, offset, pooled_lengths = _maxpool_batch(
-            np.maximum(pre, 0, out=None if keep else pre), np.maximum(lengths - k + 1, 0),
-            cfg.pool_size, cfg.pool_stride)
+            np.maximum(pre, 0, out=pre), np.maximum(lengths - k + 1, 0),
+            cfg.pool_size, cfg.pool_stride, keep)
+        del pre  # dropped once pooled, in both modes
         if keep:
-            channels.append({"pre": pre, "offset": offset})
-        del pre, offset  # inference drops them once pooled
+            channels.append({"offset": offset, "live": pooled > 0})
         summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors, f"gru{k}.", keep)
         summaries.append(summary)
         if keep:
@@ -833,11 +867,13 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
         d_pooled, g = _bigru_batch_backward(ch_cache.pop("bigru"), tensors, f"gru{k}.",
                                             d_concat[:, ci * h2:(ci + 1) * h2])
         gru_grads.append(g)
-        pre = ch_cache["pre"]
+        # The ReLU's mask: at a window's argmax the pre-activation is
+        # positive exactly where the pooled value is (NaN is neither).
+        d_pooled *= ch_cache["live"]
         # Real windows pool from real positions: padding gets no gradient.
-        d_fm = _maxpool_batch_backward(d_pooled, ch_cache["offset"], pre.shape[1],
-                                       cfg.pool_size, cfg.pool_stride)
-        d_pres.append(d_fm * (pre > 0))
+        d_pres.append(_maxpool_batch_backward(
+            d_pooled, ch_cache["offset"], max(cache["indices"].shape[1] - k + 1, 0),
+            cfg.pool_size, cfg.pool_stride))
     g_embedding = np.zeros_like(tensors["embedding"])
     conv_grads = _conv_batch_backward(
         tensors["embedding"], cache["indices"], cache["lengths"], d_pres,

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delaes.network import forward_batch, make_drop_mask, summary_width
+from delaes.network import _conv_pre_batch
 from delaes.training import Batch, backward
 
 from oracles import relative_error
@@ -19,26 +19,29 @@ class GradCheckReport:
     worst_coordinate: tuple[str, int] | None
 
 
-def _kink_floors(batch: Batch, params, dropout_seed: int) -> tuple[dict, float]:
+def _kink_floors(batch: Batch, params) -> tuple[dict, float]:
     """Minimum |pre-activation| per conv filter row, over real positions only.
 
     Coordinates whose perturbation can move a ReLU input across zero are the
     only ones a finite difference can misjudge, so the check skips filter rows
     (and, transitively, embedding coordinates) sitting within ``kink_tol`` of
-    the kink.
+    the kink.  The training cache keeps no pre-activations, so they are
+    recomputed here as the forward pass computes them, on the batch sorted
+    longest first.
     """
     cfg = params.config
-    # A drop mask, all ones for no dropout, asks forward_batch for its cache.
-    drop_mask = make_drop_mask(np.random.default_rng(dropout_seed),
-                               (len(batch), summary_width(cfg)), cfg.dropout, params.dtype)
-    _, cache = forward_batch(batch.indices, batch.mask, params, drop_mask)
+    tensors = params.tensors
+    lengths = batch.mask.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    pres = _conv_pre_batch(tensors["embedding"], batch.indices[order],
+                           [tensors[f"conv{k}.weights"] for k in cfg.windows],
+                           [tensors[f"conv{k}.bias"] for k in cfg.windows], lengths)
     per_filter: dict[int, np.ndarray] = {}
     global_floor = np.inf
-    lengths = batch.mask.sum(axis=1)[cache["order"]]
-    for window, ch_cache in zip(cfg.windows, cache["channels"]):
-        pre = np.abs(ch_cache["pre"])
+    for window, pre in zip(cfg.windows, pres):
         valid = (np.arange(pre.shape[1]) < (lengths - window + 1)[:, None])[:, :, None]
-        masked = np.where(valid, pre, np.inf)
+        masked = np.where(valid, np.abs(pre), np.inf)
         floors = masked.min(axis=(0, 1))
         per_filter[window] = floors
         global_floor = min(global_floor, float(floors.min()))
@@ -65,7 +68,7 @@ def check_gradients(batch: Batch, params, dropout_seed: int, step: float = 1e-4,
     ``tolerance``; returns a summary report otherwise.
     """
     _, grads = backward(batch, params, dropout_seed)
-    per_filter, global_floor = _kink_floors(batch, params, dropout_seed)
+    per_filter, global_floor = _kink_floors(batch, params)
 
     def loss_now() -> float:
         loss, _ = backward(batch, params, dropout_seed)

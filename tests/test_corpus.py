@@ -214,6 +214,15 @@ class TestLoadDataset:
         assert f"{path}:1502:" in str(err.value)
         assert f"byte 0xe9 at file offset {offset}" in str(err.value)
 
+    def test_bad_row_before_an_undecodable_byte_is_reported(self, tmp_path):
+        # Both lie in the text reader's first decoding chunk; the row comes
+        # first in the file, so its error is the one reported.
+        path = tmp_path / "d.tsv"
+        path.write_bytes(TSV_HEADER.encode() + b"\n1\t1\tshort row\n2\t1\tcaf\xe9\t3\n")
+        with pytest.raises(FormatError, match=r"d.tsv:2: expected 4 tab-separated") as err:
+            load_dataset(path, 1, ScoreRange(1, 2, 4), encoding="utf8")
+        assert not isinstance(err.value, EncodingError)
+
     def test_truncated_sequence_at_end_named(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_bytes(TSV_HEADER.encode() + b"\n1\t1\tcaf\xc3")

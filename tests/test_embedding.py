@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaes import (
     EmbeddingTable,
+    EncodingError,
     FormatError,
     UsageError,
     Vocabulary,
@@ -99,6 +100,14 @@ class TestLoadEmbeddings:
         path.write_bytes(b"a 1 2\nb nan 2\n" + b"c 1 2\n" * 5000 + b"d \xff 2\n")
         with pytest.raises(FormatError, match="v.txt:2: non-finite vector component"):
             load_embeddings(path, expected_dim=2)
+
+    def test_bad_line_before_an_undecodable_byte_in_the_same_chunk_is_reported(
+            self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"a zz 2\nb 1 2\nc \xff 2\n")
+        with pytest.raises(FormatError, match="v.txt:1: could not convert") as err:
+            load_embeddings(path, expected_dim=2)
+        assert not isinstance(err.value, EncodingError)
 
     @pytest.mark.parametrize("text", ["", "\n \t\n\r\n"])
     def test_empty_file_gives_empty_table_without_warning(self, tmp_path, text):

@@ -55,6 +55,7 @@ from oracles import (
     maxpool_batch_loop,
     maxpool_oracle,
 )
+from gradcheck import _kink_floors
 from synthdata import tiny_model
 
 
@@ -118,6 +119,14 @@ class TestConv:
         np.testing.assert_allclose(out_shifted[:, shift:],
                                    out[:, :m - k + 1 - shift], rtol=1e-12)
 
+    def test_caller_arrays_unchanged(self):
+        rng = np.random.default_rng(17)
+        args = (rng.normal(size=(3, 7)), rng.normal(size=(4, 9)), rng.normal(size=4))
+        before = [a.copy() for a in args]
+        conv1d_forward(*args)
+        for a, b in zip(args, before):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
 
 class TestMaxpool:
     def test_constant_row(self):
@@ -153,6 +162,14 @@ class TestMaxpool:
     def test_rejects_bad_pool(self):
         with pytest.raises(DomainError):
             maxpool(np.ones((1, 3)), 0, 1)
+
+    @pytest.mark.parametrize("pool, stride", [(2, 2), (3, 1), (2, 5), (8, 8)])
+    def test_caller_array_unchanged(self, pool, stride):
+        fm = np.random.default_rng(pool + stride).normal(size=(3, 7))
+        fm[1, 2] = np.nan
+        before = fm.copy()
+        maxpool(fm, pool, stride)
+        np.testing.assert_array_equal(fm.view(np.uint64), before.view(np.uint64))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pool, stride, width",
@@ -648,6 +665,60 @@ class TestStackedConv:
         if block_bytes is not None:
             assert sum(scattered) == lengths.sum()  # not B·L = 45
 
+    @staticmethod
+    def unsorted_batch(dtype):
+        """Rows of 9, 2, 1, 7 and 3 tokens, unsorted; row 2 is narrower than
+        the widest window."""
+        rng = np.random.default_rng(53)
+        lengths = np.array([9, 2, 1, 7, 3])
+        indices, _ = pad_rows([rng.integers(1, 12, n) for n in lengths])
+        table = rng.normal(size=(12, TestStackedConv.DIM)).astype(dtype)
+        table[PAD_INDEX] = 0.0
+        weights = [rng.normal(size=(TestStackedConv.FILTERS, k * TestStackedConv.DIM))
+                   .astype(dtype) for k in TestStackedConv.WINDOWS]
+        biases = [rng.normal(size=TestStackedConv.FILTERS).astype(dtype)
+                  for _ in TestStackedConv.WINDOWS]
+        return table, indices, lengths, weights, biases
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_forward_over_real_tokens_matches_untrimmed_bit_for_bit(self, dtype, block_bytes,
+                                                                    monkeypatch):
+        """Each row block is gathered and summed only up to its longest real
+        length; every real position keeps its bits."""
+        if block_bytes is not None:  # one batch row per block, of its own width
+            monkeypatch.setattr(network, "_BLOCK_BYTES", block_bytes)
+        table, indices, lengths, weights, biases = self.unsorted_batch(dtype)
+        full = _conv_pre_batch(table, indices, weights, biases)
+        trimmed = _conv_pre_batch(table, indices, weights, biases, lengths)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        for k, want, got in zip(self.WINDOWS, full, trimmed):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            real = np.arange(got.shape[1]) < (lengths - k + 1)[:, None]
+            np.testing.assert_array_equal(got[real].view(bits), want[real].view(bits))
+
+    def test_positions_past_a_block_are_zero(self, monkeypatch):
+        """Not whatever a fresh buffer held: every ``np.empty`` here comes back
+        NaN-filled, and a NaN reaching the ReLU or the pool would warn."""
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 1)
+        empty = np.empty
+
+        def poisoned(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        table, indices, lengths, weights, biases = self.unsorted_batch(np.float64)
+        pres = _conv_pre_batch(table, indices, weights, biases, lengths)
+        for k, pre in zip(self.WINDOWS, pres):
+            real = np.arange(pre.shape[1]) < (lengths - k + 1)[:, None]
+            assert not np.isnan(pre).any()
+            np.testing.assert_array_equal(pre[~real], 0.0)
+            np.maximum(pre, 0, out=pre)
+            _maxpool_batch(pre, np.maximum(lengths - k + 1, 0), 2, 2)
+
 
 class TestRowOrder:
     def test_permuting_rows_permutes_predictions_only(self):
@@ -704,17 +775,29 @@ class TestInferenceMode:
         bits = np.dtype(f"u{want.itemsize}")
         np.testing.assert_array_equal(yhat.view(bits), want.view(bits))
 
-    def test_training_cache_keeps_negative_pre_activations(self):
-        """Only inference takes the ReLU in place.  The gradient check's kink
-        floors read ``|pre|`` from the training cache; rectified values there
-        would make every floor zero and skip every conv row."""
-        _, vocab, params = tiny_model(dropout=0.0, windows=(1, 2, 4), seed=7)
+    def test_kink_floors_see_negative_pre_activations(self):
+        """Both modes take the ReLU in place, so the training cache keeps no
+        pre-activations.  The gradient check's kink floors recompute
+        ``|pre|``; from rectified values every floor would be zero and every
+        conv row skipped."""
+        windows = (1, 2, 4)
+        _, vocab, params = tiny_model(dropout=0.0, windows=windows, seed=7)
         rng = np.random.default_rng(31)
         indices, mask = pad_rows([rng.integers(2, vocab.size, n) for n in (9, 4, 12)])
         ones = np.ones((len(indices), summary_width(params.config)))
         _, cache = forward_batch(indices, mask, params, ones)
-        for channel in cache["channels"]:
-            assert (channel["pre"] < 0).any()
+        assert all("pre" not in channel for channel in cache["channels"])
+        batch = Batch(indices, mask, np.zeros(len(indices)), tuple(range(len(indices))))
+        per_filter, global_floor = _kink_floors(batch, params)
+        assert global_floor > 0
+        emb = params.tensors["embedding"][indices]
+        lengths = mask.sum(axis=1)
+        for k in windows:
+            pre = conv_batch_loop(emb, params.tensors[f"conv{k}.weights"],
+                                  params.tensors[f"conv{k}.bias"])
+            real = pre[np.arange(pre.shape[1]) < (lengths - k + 1)[:, None]]
+            assert (real < 0).any()
+            np.testing.assert_allclose(per_filter[k], np.abs(real).min(axis=0), rtol=1e-12)
 
     def test_scan_keeps_only_the_final_state(self):
         rng = np.random.default_rng(29)
@@ -844,6 +927,26 @@ class TestTwoThreadDirections:
         for name, g in grads.items():
             np.testing.assert_array_equal(self.bits(t_grads[name]), self.bits(g),
                                           err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_forward_row_blocks_split_between_threads_bitwise(self, dtype,
+                                                                   monkeypatch):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 1)  # one row per block
+        table, indices, lengths, weights, biases = TestStackedConv.unsorted_batch(dtype)
+        serial = _conv_pre_batch(table, indices, weights, biases, lengths, False)
+        gathers, take = [], np.take
+
+        def record(*args, **kwargs):
+            gathers.append(threading.get_ident())
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", record)
+        threaded = _conv_pre_batch(table, indices, weights, biases, lengths, True)
+        # Blocks alternate: the caller gathers rows 0, 2 and 4, the worker 1 and 3.
+        caller = threading.get_ident()
+        assert len(gathers) == 5 and gathers.count(caller) == 3
+        for want, got in zip(serial, threaded):
+            np.testing.assert_array_equal(self.bits(got), self.bits(want))
 
     @pytest.mark.parametrize("threaded", [True, False])
     def test_conv_input_gradient_runs_on_the_second_thread_when_split(self, threaded,
