@@ -58,10 +58,12 @@ def _load_config(args) -> tuple[TrainConfig, dict[int, ScoreRange]]:
         for key, value in entries.items():
             match = _RANGE_KEY.match(key)
             if match:
+                try:
+                    parsed = _range_arg(value)
+                except argparse.ArgumentTypeError as exc:
+                    raise FormatError(f"{args.config}: config key {key!r}: {exc}") from None
                 prompt = int(match.group(1))
-                parsed = _range_arg(value)
-                ranges[prompt] = ScoreRange(prompt, parsed.min_score,
-                                            parsed.max_score)
+                ranges[prompt] = dataclasses.replace(parsed, prompt_id=prompt)
             else:
                 plain[key] = value
         cfg = apply_config_entries(cfg, plain)

@@ -127,7 +127,7 @@ def _parse_integer(path, lineno: int, column: str, value: str) -> int:
         raise FormatError(
             f"{path}:{lineno}: cannot parse {column}={value!r} as an integer"
         ) from None
-    if as_float != int(as_float):
+    if not as_float.is_integer():  # also NaN and infinity
         raise FormatError(
             f"{path}:{lineno}: {column}={value!r} is not an integral value"
         )

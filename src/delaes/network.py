@@ -19,13 +19,14 @@ unchanging :class:`ModelParameters` can serve any number of concurrent
 inference calls.  A BiGRU's two directions share nothing until their final
 states are joined, nor in reverse mode until their input gradients are
 added.  So when a batch is large enough (batch rows × hidden units at least
-:data:`_TWO_THREAD_MIN_WORK`) and the process may run on two CPUs, the
-backward direction runs on one worker thread, started on first use, while
-the caller runs the forward one; concurrent callers queue on that thread.
-Under the same rule the convolution splits too: forward, the caller and the
-worker take alternate blocks of batch rows; backward, the worker takes the
-input-gradient GEMM and its embedding scatter while the caller runs the
-weight-gradient GEMM.  Results are the same bit for bit either way.
+:data:`_TWO_THREAD_MIN_WORK`) and the process may run on two CPUs,
+:func:`forward_batch` and :func:`backward_batch` each start one worker
+thread that lives for that call alone, and the worker runs every BiGRU's
+backward direction while the caller runs the forward one.  The convolution
+splits too: forward, the caller and the worker take alternate blocks of
+batch rows; backward, the worker takes the input-gradient GEMM and its
+embedding scatter while the caller runs the weight-gradient GEMM.  Results
+are the same bit for bit either way.
 
 Padding only follows an essay's real tokens, and each row
 carries its real extent as a length: ``n`` tokens, ``max(n - k + 1, 0)``
@@ -40,8 +41,8 @@ positive, which is all the ReLU and the pool need in reverse.
 """
 from __future__ import annotations
 
+import contextlib
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
@@ -347,7 +348,8 @@ def _row_blocks(rows: int, row_bytes: int):
 
 def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
                     weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-                    lengths: np.ndarray | None = None, threaded: bool = False):
+                    lengths: np.ndarray | None = None,
+                    worker: ThreadPoolExecutor | None = None):
     """Pre-activations (B, P, F) of every channel over the rows of ``table``
     (V, d) that ``indices`` (B, L) picks, with ``P = max(L - k + 1, 0)``
     positions for window ``k``.
@@ -364,11 +366,10 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
     Row ``i`` has ``lengths[i]`` real tokens (every row is real to its end
     when ``lengths`` is None).  A block is gathered and summed only up to
     its longest real length; its positions past that are zero, and those
-    of a shorter row before it reach padding.  When ``threaded``, the
-    blocks alternate between the caller and :func:`_second_thread`, each
-    with a buffer of its own.  Every position is computed by the same
-    operations either way, so neither the trim nor the threads change a
-    bit of a real position.
+    of a shorter row before it reach padding.  Given a ``worker``, the
+    blocks alternate between the caller and it, each with a buffer of its
+    own.  Every position is computed by the same operations either way, so
+    neither the trim nor the threads change a bit of a real position.
     """
     b, length = indices.shape
     d = table.shape[1]
@@ -402,13 +403,14 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
                 pre[rows, p:] = 0
 
     blocks = _row_blocks(b, length * stacked.shape[1] * table.itemsize)
-    _both_directions(lambda: fill(blocks[::2]), lambda: fill(blocks[1::2]), threaded)
+    _both_directions(lambda: fill(blocks[::2]), lambda: fill(blocks[1::2]), worker)
     return pres
 
 
 def _conv_batch_backward(table: np.ndarray, indices: np.ndarray, lengths: np.ndarray,
                          d_pres: Sequence[np.ndarray], weights: Sequence[np.ndarray],
-                         g_table: np.ndarray | None = None, threaded: bool = False):
+                         g_table: np.ndarray | None = None,
+                         worker: ThreadPoolExecutor | None = None):
     """Gradients of :func:`_conv_pre_batch` for every channel's pre-activation
     gradient (B, P, F): a ``(weights, bias)`` gradient pair per channel.
     Given ``g_table`` (V, d), each gathered row's input gradient is also
@@ -423,9 +425,9 @@ def _conv_batch_backward(table: np.ndarray, indices: np.ndarray, lengths: np.nda
     block at a time in a reused buffer, over only the block's longest real
     length of tokens: the rest of its rows would be zero.  Per block, the
     weight-gradient GEMM runs and, for ``g_table``, the input-gradient GEMM
-    and its scatter; when ``threaded``, those two run on
-    :func:`_second_thread` meanwhile.  Each accumulator is summed on one
-    thread in block order, so threading changes no bit.
+    and its scatter; given a ``worker``, those two run on it meanwhile.
+    Each accumulator is summed on one thread in block order, so threading
+    changes no bit.
     """
     b, length = indices.shape
     d = table.shape[1]
@@ -457,7 +459,7 @@ def _conv_batch_backward(table: np.ndarray, indices: np.ndarray, lengths: np.nda
             _both_directions(
                 weight_gradient,
                 lambda: _scatter_rows(g_table, block_indices.ravel(), flat @ stacked.T),
-                threaded)
+                worker)
     return [(g_stacked[:, col:col + k * f].reshape(d, k, f).transpose(2, 1, 0)
              .reshape(f, k * d), d_pre.sum(axis=(0, 1)))
             for (f, k, col), d_pre in zip(columns, d_pres)]
@@ -680,9 +682,6 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
 #: ran 1.2-1.5x faster, inference and training alike.
 _TWO_THREAD_MIN_WORK = 96 * 128
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
 
 def _use_two_threads(batch: int, hidden: int) -> bool:
     """Whether a BiGRU over ``batch`` rows of ``hidden`` units runs its two
@@ -696,34 +695,23 @@ def _use_two_threads(batch: int, hidden: int) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _second_thread() -> ThreadPoolExecutor:
-    """The process's one worker thread for second scan directions, started
-    on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaes-gru")
-        return _pool
+def _batch_worker(batch: int, hidden: int):
+    """A context giving one batch call its worker: a one-thread executor,
+    shut down and joined on leaving, when :func:`_use_two_threads` says so,
+    else None."""
+    if _use_two_threads(batch, hidden):
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaes-gru")
+    return contextlib.nullcontext()
 
 
-def _forget_second_thread():
-    """A forked child has none of its parent's threads: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_second_thread)
-
-
-def _both_directions(first, second, threaded: bool):
-    """``(first(), second())``; when ``threaded``, ``second`` runs on
-    :func:`_second_thread` while the caller runs ``first``.  The call never
-    returns or raises while ``second`` is still running, and an exception
-    from either reaches the caller."""
-    if not threaded:
+def _both_directions(first, second, worker: ThreadPoolExecutor | None):
+    """``(first(), second())``; given a ``worker``, ``second`` runs on it
+    while the caller runs ``first``.  The call never returns or raises while
+    ``second`` is still running, and an exception from either reaches the
+    caller."""
+    if worker is None:
         return first(), second()
-    future = _second_thread().submit(second)
+    future = worker.submit(second)
     try:
         result = first()
     finally:
@@ -732,7 +720,8 @@ def _both_directions(first, second, threaded: bool):
 
 
 def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
-                 tensors: Mapping[str, np.ndarray], prefix: str, keep: bool = True):
+                 tensors: Mapping[str, np.ndarray], prefix: str, keep: bool = True,
+                 worker: ThreadPoolExecutor | None = None):
     """Both directions over batch-major pooled features (B, T, F), rows
     sorted by descending ``lengths``.
 
@@ -740,30 +729,33 @@ def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
     ``tensors[prefix + "bw." + gate]``.  Returns the channel summary (B, 2H),
     each row's forward state after its last real step beside its backward
     state after its first, and the two scan caches, or None when ``keep``
-    is false (see :func:`_gru_scan`).
+    is false (see :func:`_gru_scan`).  Given a ``worker``, the backward
+    direction runs on it.
     """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
     active = (lengths > np.arange(x.shape[0])[:, None]).sum(axis=1)
     fw, bw = _both_directions(
         lambda: _gru_scan(x, active, tensors, prefix + "fw.", keep),
         lambda: _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.", keep),
-        _use_two_threads(x.shape[1], tensors[prefix + "fw.u_h"].shape[0]))
+        worker)
     summary = np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1)
     return summary, ({"fw": fw, "bw": bw} if keep else None)
 
 
 def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray], prefix: str,
-                          d_summary: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                          d_summary: np.ndarray, worker: ThreadPoolExecutor | None
+                          ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gradient of the channel summary w.r.t. pooled inputs, plus the gate
     gradients of both directions keyed by their tensor names (forward
     direction first).  The summary's two halves are the gradients on the
-    final states of the forward and backward scans."""
-    batch, hidden = d_summary.shape[0], d_summary.shape[1] // 2
+    final states of the forward and backward scans.  Given a ``worker``,
+    the backward direction runs on it."""
+    hidden = d_summary.shape[1] // 2
     fw, bw = cache["fw"], cache["bw"]
     (dx_fw, g_fw), (dx_bw, g_bw) = _both_directions(
         lambda: _gru_scan_backward(fw, tensors, d_summary[:, :hidden], prefix + "fw."),
         lambda: _gru_scan_backward(bw, tensors, d_summary[:, hidden:], prefix + "bw."),
-        _use_two_threads(batch, hidden))
+        worker)
     g_fw.update(g_bw)
     d_pooled = (dx_fw + dx_bw[::-1]).transpose(1, 0, 2)
     return d_pooled, g_fw
@@ -789,26 +781,28 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     lengths = _prefix_lengths(mask)
     order = np.argsort(-lengths, kind="stable")
     indices, lengths = indices[order], lengths[order]
-    pres = _conv_pre_batch(tensors["embedding"], indices,
-                           [tensors[f"conv{k}.weights"] for k in cfg.windows],
-                           [tensors[f"conv{k}.bias"] for k in cfg.windows],
-                           lengths, _use_two_threads(len(indices), cfg.hidden_units))
     channels = []
     summaries = []
-    for k in cfg.windows:
-        # The ReLU goes in place and pooling overwrites its padding: backprop
-        # needs only where each window's maximum came from and its sign.
-        pre = pres.pop(0)
-        pooled, offset, pooled_lengths = _maxpool_batch(
-            np.maximum(pre, 0, out=pre), np.maximum(lengths - k + 1, 0),
-            cfg.pool_size, cfg.pool_stride, keep)
-        del pre  # dropped once pooled, in both modes
-        if keep:
-            channels.append({"offset": offset, "live": pooled > 0})
-        summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors, f"gru{k}.", keep)
-        summaries.append(summary)
-        if keep:
-            channels[-1]["bigru"] = bicache
+    with _batch_worker(len(indices), cfg.hidden_units) as worker:
+        pres = _conv_pre_batch(tensors["embedding"], indices,
+                               [tensors[f"conv{k}.weights"] for k in cfg.windows],
+                               [tensors[f"conv{k}.bias"] for k in cfg.windows],
+                               lengths, worker)
+        for k in cfg.windows:
+            # The ReLU goes in place and pooling overwrites its padding: backprop
+            # needs only where each window's maximum came from and its sign.
+            pre = pres.pop(0)
+            pooled, offset, pooled_lengths = _maxpool_batch(
+                np.maximum(pre, 0, out=pre), np.maximum(lengths - k + 1, 0),
+                cfg.pool_size, cfg.pool_stride, keep)
+            del pre  # dropped once pooled, in both modes
+            if keep:
+                channels.append({"offset": offset, "live": pooled > 0})
+            summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors, f"gru{k}.",
+                                            keep, worker)
+            summaries.append(summary)
+            if keep:
+                channels[-1]["bigru"] = bicache
     concat = np.concatenate(summaries, axis=1)
     if keep:
         drop_mask = drop_mask[order]
@@ -861,25 +855,25 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
     h2 = 2 * cfg.hidden_units
     channels = cache["channels"]
     gru_grads, d_pres = [], []
-    for ci, k in enumerate(cfg.windows):
-        # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
-        ch_cache, channels[ci] = channels[ci], None
-        d_pooled, g = _bigru_batch_backward(ch_cache.pop("bigru"), tensors, f"gru{k}.",
-                                            d_concat[:, ci * h2:(ci + 1) * h2])
-        gru_grads.append(g)
-        # The ReLU's mask: at a window's argmax the pre-activation is
-        # positive exactly where the pooled value is (NaN is neither).
-        d_pooled *= ch_cache["live"]
-        # Real windows pool from real positions: padding gets no gradient.
-        d_pres.append(_maxpool_batch_backward(
-            d_pooled, ch_cache["offset"], max(cache["indices"].shape[1] - k + 1, 0),
-            cfg.pool_size, cfg.pool_stride))
     g_embedding = np.zeros_like(tensors["embedding"])
-    conv_grads = _conv_batch_backward(
-        tensors["embedding"], cache["indices"], cache["lengths"], d_pres,
-        [tensors[f"conv{k}.weights"] for k in cfg.windows],
-        g_embedding if cfg.trainable_embeddings else None,
-        _use_two_threads(len(yhat), cfg.hidden_units))
+    with _batch_worker(len(yhat), cfg.hidden_units) as worker:
+        for ci, k in enumerate(cfg.windows):
+            # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
+            ch_cache, channels[ci] = channels[ci], None
+            d_pooled, g = _bigru_batch_backward(ch_cache.pop("bigru"), tensors, f"gru{k}.",
+                                                d_concat[:, ci * h2:(ci + 1) * h2], worker)
+            gru_grads.append(g)
+            # The ReLU's mask: at a window's argmax the pre-activation is
+            # positive exactly where the pooled value is (NaN is neither).
+            d_pooled *= ch_cache["live"]
+            # Real windows pool from real positions: padding gets no gradient.
+            d_pres.append(_maxpool_batch_backward(
+                d_pooled, ch_cache["offset"], max(cache["indices"].shape[1] - k + 1, 0),
+                cfg.pool_size, cfg.pool_stride))
+        conv_grads = _conv_batch_backward(
+            tensors["embedding"], cache["indices"], cache["lengths"], d_pres,
+            [tensors[f"conv{k}.weights"] for k in cfg.windows],
+            g_embedding if cfg.trainable_embeddings else None, worker)
     for k, g, (g_w, g_b) in zip(cfg.windows, gru_grads, conv_grads):
         grads.update(g)
         grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = g_w, g_b

@@ -253,6 +253,26 @@ class TestPredict:
         assert "outside [0, 1]" not in err
 
 
+class TestConfigRange:
+    """A ``rangeN`` entry of a --config file that is not MIN:MAX with MIN < MAX
+    is a data error naming the file and the key."""
+
+    @pytest.mark.parametrize("value", ["4:2", "2:2", "oops"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_bad_range_exits_1(self, data_files, tmp_path, capsys, command, value):
+        config = tmp_path / "bad.cfg"
+        config.write_text(data_files["config"].read_text()
+                          .replace("range1 = 0:2", f"range1 = {value}"))
+        args = train_args(data_files, tmp_path / "m.bin")
+        if command == "cv":
+            args = ["cv", *args[1:], "--k", "2"]
+        args[args.index("--config") + 1] = str(config)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: config key 'range1': ")
+        assert "Traceback" not in err
+
+
 class TestUndecodableInput:
     """A byte that is not UTF-8 in a text input is a data error, not a crash."""
 
@@ -357,6 +377,18 @@ class TestEval:
         assert main(["eval", "--pred", str(pred), "--gold", str(gold),
                      "--range", "2:4"]) == 1
         assert "duplicate essay id 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("spoiled", ["--pred", "--gold"])
+    def test_non_finite_score_names_the_line(self, tmp_path, capsys, spoiled, value):
+        files = {"--pred": tmp_path / "pred.csv", "--gold": tmp_path / "gold.csv"}
+        for flag, path in files.items():
+            path.write_text("1,2\n" + (f"2,{value}\n" if flag == spoiled else "2,3\n"))
+        assert main(["eval", "--pred", str(files["--pred"]), "--gold",
+                     str(files["--gold"]), "--range", "2:4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[spoiled]}:2: score=")
+        assert "Traceback" not in err
 
     def test_malformed_range_exits_2(self, tmp_path):
         pred = tmp_path / "p.csv"

@@ -173,6 +173,15 @@ class TestReadPredictions:
         with pytest.raises(FormatError):
             read_predictions(path)
 
+    @pytest.mark.parametrize("row, column", [("1,nan", "score"), ("1,inf", "score"),
+                                             ("1,-inf", "score"), ("1,1e400", "score"),
+                                             ("nan,3", "essay_id")])
+    def test_non_finite_value_rejected(self, tmp_path, row, column):
+        path = tmp_path / "p.csv"
+        path.write_text(f"1,3\n{row}\n")
+        with pytest.raises(FormatError, match=f":2: {column}=.* is not an integral"):
+            read_predictions(path)
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,2,3\n")

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -872,8 +873,8 @@ class TestInferenceMode:
 
 
 class TestTwoThreadDirections:
-    """A BiGRU's backward direction on the module's second thread, while the
-    caller runs the forward one, gives the bits of both on one thread."""
+    """A BiGRU's backward direction on the batch call's worker thread, while
+    the caller runs the forward one, gives the bits of both on one thread."""
 
     @staticmethod
     def force(monkeypatch, threaded):
@@ -933,7 +934,7 @@ class TestTwoThreadDirections:
                                                                    monkeypatch):
         monkeypatch.setattr(network, "_BLOCK_BYTES", 1)  # one row per block
         table, indices, lengths, weights, biases = TestStackedConv.unsorted_batch(dtype)
-        serial = _conv_pre_batch(table, indices, weights, biases, lengths, False)
+        serial = _conv_pre_batch(table, indices, weights, biases, lengths, None)
         gathers, take = [], np.take
 
         def record(*args, **kwargs):
@@ -941,7 +942,8 @@ class TestTwoThreadDirections:
             return take(*args, **kwargs)
 
         monkeypatch.setattr(np, "take", record)
-        threaded = _conv_pre_batch(table, indices, weights, biases, lengths, True)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            threaded = _conv_pre_batch(table, indices, weights, biases, lengths, worker)
         # Blocks alternate: the caller gathers rows 0, 2 and 4, the worker 1 and 3.
         caller = threading.get_ident()
         assert len(gathers) == 5 and gathers.count(caller) == 3
@@ -978,23 +980,49 @@ class TestTwoThreadDirections:
         assert not network._use_two_threads(32, 32)
         assert network._use_two_threads(128, 128)  # the paper shape
 
+    def test_no_thread_outlives_a_batch_call(self, monkeypatch):
+        params, batch = self.model_and_batch()
+        workers = set()
+        both = network._both_directions
+
+        def record(first, second, worker):
+            def traced():
+                workers.add(threading.current_thread())
+                return second()
+            return both(first, traced, worker)
+
+        monkeypatch.setattr(network, "_both_directions", record)
+        self.force(monkeypatch, True)
+        before = threading.enumerate()
+        forward_batch(batch.indices, batch.mask, params)
+        assert threading.enumerate() == before
+        backward(batch, params, 11)
+        assert threading.enumerate() == before
+        assert workers and threading.current_thread() not in workers
+        assert not any(thread.is_alive() for thread in workers)
+
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         class WorkerFailure(Exception):
             pass
 
         scan = network._gru_scan
+        workers = []
 
         def failing(x, active, gates, prefix="", keep=True):
             if prefix.endswith("bw."):
+                workers.append(threading.current_thread())
                 raise WorkerFailure(threading.current_thread().name)
             return scan(x, active, gates, prefix, keep)
 
         monkeypatch.setattr(network, "_gru_scan", failing)
         self.force(monkeypatch, True)
         params, batch = self.model_and_batch()
+        before = threading.enumerate()
         with pytest.raises(WorkerFailure) as info:
             forward_batch(batch.indices, batch.mask, params)
         assert str(info.value) != threading.current_thread().name
+        assert threading.enumerate() == before
+        assert workers and not workers[0].is_alive()
 
     def test_caller_exception_waits_for_the_worker(self, monkeypatch):
         class CallerFailure(Exception):
@@ -1002,11 +1030,13 @@ class TestTwoThreadDirections:
 
         started, finished = threading.Event(), threading.Event()
         scan = network._gru_scan
+        workers = []
 
         def slow_worker(x, active, gates, prefix="", keep=True):
             if prefix.endswith("fw."):
                 assert started.wait(timeout=60)
                 raise CallerFailure
+            workers.append(threading.current_thread())
             started.set()
             time.sleep(0.2)
             result = scan(x, active, gates, prefix, keep)
@@ -1016,13 +1046,16 @@ class TestTwoThreadDirections:
         monkeypatch.setattr(network, "_gru_scan", slow_worker)
         self.force(monkeypatch, True)
         params, batch = self.model_and_batch()
+        before = threading.enumerate()
         with pytest.raises(CallerFailure):
             forward_batch(batch.indices, batch.mask, params)
         assert finished.is_set()
+        assert threading.enumerate() == before
+        assert workers and not workers[0].is_alive()
 
     def test_concurrent_callers_get_the_serial_predictions(self, monkeypatch):
-        """More callers than CPUs share one model and the one second thread,
-        with thread switches forced often."""
+        """More callers than CPUs share one model, each call with a worker
+        thread of its own, with thread switches forced often."""
         params, batch = self.model_and_batch(np.float32)
         self.force(monkeypatch, False)
         want = self.bits(forward_batch(batch.indices, batch.mask, params)[0])
