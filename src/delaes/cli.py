@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     artifact = load_model(args.model)
-    rows = load_unscored(args.data, artifact.score_range.prompt_id)
+    rows = load_unscored(args.data, artifact.score_range.prompt_id, args.encoding)
     essay_ids = [essay_id for essay_id, _ in rows]
     predictions = predict_normalized(artifact.params, artifact.vocab,
                                      [tokens for _, tokens in rows])
@@ -181,22 +181,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "ASAP-format data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command that reads essays reads them the same way.
+    essays = argparse.ArgumentParser(add_help=False)
+    essays.add_argument("--data", required=True)
+    essays.add_argument("--encoding", choices=["latin1", "utf8"], default="latin1")
+    essays.add_argument("--out", required=True)
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--prompt", type=int, required=True)
+    training.add_argument("--embeddings", required=True)
+    training.add_argument("--config")
 
-    p_train = sub.add_parser("train", help="train a model for one prompt")
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--prompt", type=int, required=True)
-    p_train.add_argument("--embeddings", required=True)
-    p_train.add_argument("--out", required=True)
-    p_train.add_argument("--config")
+    p_train = sub.add_parser("train", parents=[essays, training],
+                             help="train a model for one prompt")
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--encoding", choices=["latin1", "utf8"],
-                         default="latin1")
     p_train.set_defaults(func=cmd_train)
 
-    p_predict = sub.add_parser("predict", help="score essays with a saved model")
+    p_predict = sub.add_parser("predict", parents=[essays],
+                               help="score essays with a saved model")
     p_predict.add_argument("--model", required=True)
-    p_predict.add_argument("--data", required=True)
-    p_predict.add_argument("--out", required=True)
     p_predict.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("eval", help="quadratic weighted kappa of a "
@@ -206,16 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--range", type=_range_arg, required=True)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_cv = sub.add_parser("cv", help="k-fold cross-validation for one prompt")
-    p_cv.add_argument("--data", required=True)
-    p_cv.add_argument("--prompt", type=int, required=True)
-    p_cv.add_argument("--embeddings", required=True)
+    p_cv = sub.add_parser("cv", parents=[essays, training],
+                          help="k-fold cross-validation for one prompt")
     p_cv.add_argument("--k", type=int, required=True)
     p_cv.add_argument("--seed", type=int, required=True)
-    p_cv.add_argument("--out", required=True)
-    p_cv.add_argument("--config")
-    p_cv.add_argument("--encoding", choices=["latin1", "utf8"],
-                      default="latin1")
     p_cv.set_defaults(func=cmd_cv)
     return parser
 

@@ -7,7 +7,6 @@ and rescaled to the original integer range for evaluation.
 """
 from __future__ import annotations
 
-import codecs
 import math
 import re
 from collections import Counter
@@ -99,13 +98,19 @@ def default_range(prompt_id: int) -> ScoreRange:
         ) from None
 
 
-def normalize_score(raw_score: int, score_range: ScoreRange) -> float:
-    """Map an integer gold score linearly onto [0, 1]."""
+def _check_score(raw_score: int, score_range: ScoreRange, where: str = "") -> None:
+    """Raise :class:`ScoreRangeError`, its message prefixed by ``where``, for
+    a raw score outside ``score_range``."""
     if not score_range.min_score <= raw_score <= score_range.max_score:
         raise ScoreRangeError(
-            f"score {raw_score} outside range "
+            f"{where}score {raw_score} outside range "
             f"{score_range.min_score}-{score_range.max_score}"
         )
+
+
+def normalize_score(raw_score: int, score_range: ScoreRange) -> float:
+    """Map an integer gold score linearly onto [0, 1]."""
+    _check_score(raw_score, score_range)
     return (raw_score - score_range.min_score) / score_range.span
 
 
@@ -128,15 +133,6 @@ class Essay:
     raw_score: int
 
 
-def _check_score(essay_id: int, raw_score: int, score_range: ScoreRange,
-                 where: str = "") -> None:
-    if not score_range.min_score <= raw_score <= score_range.max_score:
-        raise ScoreRangeError(
-            f"{where}essay {essay_id}: score {raw_score} outside range "
-            f"{score_range.min_score}-{score_range.max_score}"
-        )
-
-
 @dataclass(frozen=True)
 class EssaySet:
     """Ordered essays of one prompt, the ``prompt_id`` of ``score_range``.
@@ -154,7 +150,8 @@ class EssaySet:
             if essay.essay_id in seen:
                 raise UsageError(f"duplicate essay id {essay.essay_id}")
             seen.add(essay.essay_id)
-            _check_score(essay.essay_id, essay.raw_score, self.score_range)
+            _check_score(essay.raw_score, self.score_range,
+                         f"essay {essay.essay_id}: ")
 
     def __len__(self) -> int:
         return len(self.essays)
@@ -243,45 +240,31 @@ def text_lines(path, encoding: str = "utf8") -> Iterator[tuple[int, str]]:
             line = raw.rstrip("\n")
             if line and not line.isspace():
                 if not line.isascii() and _ESCAPED_BYTE.search(line):
-                    raise EncodingError(_decode_failure(path, codec))
+                    raise EncodingError(_decode_failure(path, codec, lineno))
                 yield lineno, line
 
 
-def _line_breaks(data: bytes) -> int:
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+def _decode_failure(path, codec: str, lineno: int) -> str:
+    """Name the file offset of the first byte of physical line ``lineno`` of
+    ``path`` that ``codec`` cannot decode.
 
-
-def _decode_failure(path, codec: str) -> str:
-    """Name the physical line and file offset of the first byte of ``path``
-    that ``codec`` cannot decode.
-
-    The text reader only knows an offset inside its decoding chunk, so the
-    file is decoded again as bytes, chunk by chunk, counting ``\\n``,
-    ``\\r\\n`` and ``\\r`` line endings on the way.
+    The text reader knows the line but not the offset, so the file is read
+    again up to that line, splitting lines by the same ``\\n``, ``\\r\\n``
+    and ``\\r`` rule: each line, endings kept, encodes back to its exact
+    bytes, and a strict decode of the bad line gives the byte and the reason.
+    A file that changed between the two reads gets a plain message.
     """
-    decoder = codecs.getincrementaldecoder(codec)()
-    start, breaks, last = 0, 0, b""
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 16)
-            pending = decoder.getstate()[0]
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                # The decoder reports positions in its pending bytes plus
-                # this chunk; pending bytes open a multi-byte sequence, so
-                # they hold no line ending.
-                offset = start - len(pending) + exc.start
-                head = last + chunk[:max(exc.start - len(pending), 0)]
-                line = 1 + breaks + _line_breaks(head) - _line_breaks(last)
-                return (f"{path}:{line}: cannot decode byte "
-                        f"0x{exc.object[exc.start]:02x} at file offset {offset} "
-                        f"as {codec} ({exc.reason})")
-            if not chunk:
-                return f"{path}: cannot decode input as {codec}"
-            breaks += _line_breaks(last + chunk) - _line_breaks(last)
-            start += len(chunk)
-            last = chunk[-1:]
+    offset = 0
+    with open(path, "r", encoding=codec, errors="surrogateescape", newline="") as fh:
+        for _ in range(lineno - 1):
+            offset += len(fh.readline().encode(codec, "surrogateescape"))
+        data = fh.readline().encode(codec, "surrogateescape")
+    try:
+        data.decode(codec)
+    except UnicodeDecodeError as exc:
+        return (f"{path}:{lineno}: cannot decode byte 0x{data[exc.start]:02x} "
+                f"at file offset {offset + exc.start} as {codec} ({exc.reason})")
+    return f"{path}: cannot decode input as {codec}"
 
 
 class TsvRow:
@@ -385,7 +368,7 @@ def load_dataset(path, prompt_id: int, score_range: ScoreRange,
     essays = []
     for essay_id, row in _prompt_rows(path, rows, prompt_id):
         raw_score = row.integer("domain1_score")
-        _check_score(essay_id, raw_score, score_range, f"{row.where}: ")
+        _check_score(raw_score, score_range, f"{row.where}: essay {essay_id}: ")
         essays.append(Essay(essay_id, _essay_tokens(row, essay_id), raw_score))
     return EssaySet(tuple(essays), score_range)
 

@@ -60,13 +60,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
 
     def values():
         nonlocal count
-        for i, (_, line) in enumerate(text_lines(path)):
-            if i == 0:
-                fields = line.split()
-                if len(fields) == 2 and _both_ints(fields):
-                    if int(fields[1]) != expected_dim:
-                        raise _Irregular
-                    count = int(fields[0])
+        for i, (lineno, line) in enumerate(text_lines(path)):
+            if i == 0:  # no line can err before the header, so it raises here
+                count = _header(path, lineno, line, expected_dim)
+                if count is not None:
                     continue
             fields = line.split(maxsplit=1)
             if len(fields) < 2:
@@ -104,15 +101,11 @@ def _load_by_line(path, expected_dim: int) -> EmbeddingTable:
     count = None
     found = 0
     for i, (lineno, line) in enumerate(text_lines(path)):
+        if i == 0:
+            count = _header(path, lineno, line, expected_dim)
+            if count is not None:
+                continue
         fields = line.split()
-        if i == 0 and len(fields) == 2 and _both_ints(fields):
-            count, declared = int(fields[0]), int(fields[1])
-            if declared != expected_dim:
-                raise FormatError(
-                    f"{path}:{lineno}: header declares dimension {declared}, "
-                    f"expected {expected_dim}"
-                )
-            continue
         token, values = fields[0], fields[1:]
         if len(values) != expected_dim:
             raise FormatError(
@@ -135,12 +128,21 @@ def _load_by_line(path, expected_dim: int) -> EmbeddingTable:
     return EmbeddingTable(dimension=expected_dim, vectors=vectors)
 
 
-def _both_ints(fields) -> bool:
+def _header(path, lineno: int, line: str, expected_dim: int) -> int | None:
+    """The vector count a ``count dim`` header line declares, or None for a
+    line of another form; a declared ``dim`` other than ``expected_dim`` is
+    a :class:`FormatError`."""
+    fields = line.split()
+    if len(fields) != 2:
+        return None
     try:
-        int(fields[0]), int(fields[1])
+        count, declared = int(fields[0]), int(fields[1])
     except ValueError:
-        return False
-    return True
+        return None
+    if declared != expected_dim:
+        raise FormatError(f"{path}:{lineno}: header declares dimension {declared}, "
+                          f"expected {expected_dim}")
+    return count
 
 
 def build_embedding_matrix(vocab: Vocabulary, table: EmbeddingTable, seed: int,

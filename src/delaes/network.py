@@ -147,15 +147,15 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
-def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig,
-                    dtype=None) -> ModelParameters:
+def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig) -> ModelParameters:
     """Seeded Glorot-uniform initialization of every layer; biases start at zero.
 
     Weights are drawn in canonical tensor order, so the draws of each tensor
-    depend only on the config and the seed.  The matrix must train exactly
-    when the config's ``trainable_embeddings`` says so.
+    depend only on the config and the seed; the tensors take the matrix's
+    dtype.  The matrix must train exactly when the config's
+    ``trainable_embeddings`` says so.
     """
-    dtype = dtype or embedding.weights.dtype
+    dtype = embedding.weights.dtype
     rows, d = embedding.weights.shape
     if d != cfg.embedding_dim:
         raise UsageError(
@@ -168,7 +168,7 @@ def init_parameters(embedding: EmbeddingMatrix, cfg: TrainConfig,
     tensors = {}
     for name, shape in expected_shapes(cfg, rows).items():
         if name == "embedding":
-            tensors[name] = embedding.weights.astype(dtype, copy=True)
+            tensors[name] = embedding.weights.copy()
         elif name.endswith(".bias"):
             tensors[name] = np.zeros(shape, dtype=dtype)
         else:
@@ -470,6 +470,10 @@ def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int,
     """Temporal max-pooling of a (B, width, F) map whose row ``i`` has
     ``lengths[i]`` real positions, then padding.
 
+    A pool wider than the map is cut to the map's width: offsets past it
+    reach nothing and every row keeps its window count, so a global-max
+    pool costs what one as wide as the batch's longest map does.
+
     Returns pooled values (B, T, F), each window's argmax offset (B, T, F;
     the smallest unsigned integer type that holds ``pool - 1``), or None
     without ``argmax``, and pooled lengths (B,).  A row of ``c`` positions
@@ -490,6 +494,7 @@ def _maxpool_batch(fm: np.ndarray, lengths: np.ndarray, pool: int, stride: int,
         return np.maximum(1, -(-(c - pool) // stride) + 1)
 
     b, width, f = fm.shape
+    pool = min(pool, max(width, 1))
     t = int(windows(width))
     last = (t - 1) * stride + 1
     for i in np.flatnonzero(lengths < width):
@@ -522,8 +527,10 @@ def _maxpool_batch_backward(d_pooled: np.ndarray, offset: np.ndarray,
     ``d_pooled`` must be zero at every window past a row's pooled length, as
     :func:`_gru_scan_backward` leaves it.  Offsets run last to first, so a
     position that several windows pooled from sums their gradients in
-    ascending window order.
+    ascending window order.  ``pool`` is cut to ``width`` as
+    :func:`_maxpool_batch` cuts it.
     """
+    pool = min(pool, max(width, 1))
     b, t, f = offset.shape
     last = (t - 1) * stride + 1
     d_fm = np.zeros((b, last + pool - 1, f), dtype=d_pooled.dtype)

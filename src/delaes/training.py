@@ -203,8 +203,8 @@ def _dropout_seed(base: int, epoch: int, batch_index: int) -> int:
 
 
 def train(train_set: EssaySet, val_set: EssaySet, vocab: Vocabulary,
-          embeddings: EmbeddingTable, cfg: TrainConfig,
-          dtype=np.float32) -> tuple[ModelParameters, list[EpochRecord]]:
+          embeddings: EmbeddingTable, cfg: TrainConfig
+          ) -> tuple[ModelParameters, list[EpochRecord]]:
     """Run the full training loop and return the best parameters by validation kappa.
 
     Ties keep the earliest epoch; the history has exactly ``cfg.epochs``
@@ -213,9 +213,8 @@ def train(train_set: EssaySet, val_set: EssaySet, vocab: Vocabulary,
     if len(train_set) == 0:
         raise UsageError("training set is empty")
     matrix = build_embedding_matrix(vocab, embeddings, seed=cfg.seed,
-                                    trainable=cfg.trainable_embeddings,
-                                    dtype=dtype)
-    params = init_parameters(matrix, cfg, dtype=dtype)
+                                    trainable=cfg.trainable_embeddings)
+    params = init_parameters(matrix, cfg)
     if cfg.epochs == 0:
         return params, []
     if len(val_set) == 0:

@@ -277,3 +277,21 @@ def load_embeddings_loop(path, expected_dim):
     if count is not None and count != found:
         raise EmbeddingFormatError(f"{path}: header declares {count} vectors, found {found}")
     return vectors
+
+
+def undecodable_byte_report(path, data: bytes, codec: str) -> str | None:
+    """The message naming the first byte of ``data``, the contents of
+    ``path``, that ``codec`` cannot decode, or None when all of it decodes.
+
+    The whole file is strict-decoded at once: the offset is where the decode
+    fails, and the line is 1 plus the ``\\n``, ``\\r\\n`` and ``\\r`` line
+    breaks before it.
+    """
+    try:
+        data.decode(codec)
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return (f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} "
+                f"at file offset {exc.start} as {codec} ({exc.reason})")
+    return None

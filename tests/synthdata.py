@@ -80,7 +80,7 @@ def tiny_model(dtype=np.float64, dropout: float = 0.4, windows=(2, 3),
     vocab = Vocabulary(TINY_TOKENS)
     table = EmbeddingTable(dim, {})
     matrix = build_embedding_matrix(vocab, table, seed=embed_seed, dtype=dtype)
-    params = init_parameters(matrix, cfg, dtype=dtype)
+    params = init_parameters(matrix, cfg)
     return cfg, vocab, params
 
 

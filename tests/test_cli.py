@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from delaes import forward, load_model
+from delaes import forward, load_dataset, load_model
 from delaes.cli import main
+from delaes.corpus import ScoreRange
+from delaes.training import denormalize_predictions, predict_normalized
 
 from cli_driver import MICRO_CONFIG
 from synthdata import make_corpus, make_table, write_asap_tsv, write_embeddings
@@ -129,6 +131,28 @@ class TestPredict:
             forward(loaded.vocab.encode(essay.tokens), loaded.params),
             loaded.score_range)
         assert rows[0] == f"{essay.essay_id},{expected}"
+
+    def test_utf8_model_scores_essays_read_as_utf8(self, data_files, tmp_path):
+        data = tmp_path / "utf8.tsv"
+        rows = ["essay_id\tessay_set\tessay\tdomain1_score"]
+        rows += [f"{e.essay_id}\t1\t{' '.join(e.tokens)} café ©\t{e.raw_score}"
+                 for e in data_files["corpus"]]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        model, out = tmp_path / "m.bin", tmp_path / "pred.csv"
+        args = train_args(data_files, model)
+        args[args.index("--data") + 1] = str(data)
+        assert main(args + ["--encoding", "utf8"]) == 0
+        assert main(predict_args(model, data, out) + ["--encoding", "utf8"]) == 0
+        essays = load_dataset(data, 1, ScoreRange(1, 0, 2), "utf8").essays
+        # Read as latin-1, "café" would be the tokens "cafã" and "©".
+        assert essays != load_dataset(data, 1, ScoreRange(1, 0, 2), "latin1").essays
+        loaded = load_model(model)
+        scores = denormalize_predictions(
+            [e.essay_id for e in essays],
+            predict_normalized(loaded.params, loaded.vocab, [e.tokens for e in essays]),
+            loaded.score_range)
+        assert out.read_text() == "".join(f"{e.essay_id},{score}\n"
+                                          for e, score in zip(essays, scores))
 
     def test_constant_head_predicts_midpoint(self, model_path, data_files,
                                              tmp_path):

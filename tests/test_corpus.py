@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaes import (
     DEFAULT_RANGES,
@@ -15,7 +15,18 @@ from delaes import (
     normalize_score,
     tokenize,
 )
-from delaes.corpus import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN, Essay, EssaySet, ScoreRange
+from delaes.corpus import (
+    PAD_INDEX,
+    PAD_TOKEN,
+    UNK_INDEX,
+    UNK_TOKEN,
+    Essay,
+    EssaySet,
+    ScoreRange,
+    text_lines,
+)
+
+from oracles import undecodable_byte_report
 
 
 class TestTokenize:
@@ -268,6 +279,38 @@ class TestLoadDataset:
         second = load_dataset(path, 1, ScoreRange(1, 2, 4))
         assert [e.essay_id for e in first] == list(range(1, 11))
         assert first == second
+
+
+# Valid text, line endings, and UTF-8 sequences valid, invalid and cut short.
+_BYTE_PIECES = [b"a", b"word ", b"\t", b" ", b"\n", b"\r\n", b"\r",
+                "\u00e9".encode(), "\u20ac".encode(), "\U0001d11e".encode(),
+                b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9d\x84",
+                b"\xed\xa0\x80", b"\xc0\xaf"]
+# Mixed line endings, cut anywhere, so a \r\n may span the join.
+_FILLER = b"essay row\r\nnext\rlast\n" * 3500
+
+
+@st.composite
+def byte_files(draw):
+    """Bytes of a file, some past 64 KB, whose tail mixes every piece."""
+    size = draw(st.sampled_from([0, 0, 0, 0, 8191, 65535, 65537, 70000]))
+    tail = draw(st.lists(st.sampled_from(_BYTE_PIECES), max_size=25))
+    return _FILLER[:size + draw(st.integers(0, 2))] + b"".join(tail)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(byte_files())
+def test_undecodable_byte_report_matches_whole_file_oracle(tmp_path, data):
+    path = tmp_path / "d.txt"
+    path.write_bytes(data)
+    expected = undecodable_byte_report(path, data, "utf-8")
+    if expected is None:
+        list(text_lines(path, "utf8"))
+        return
+    with pytest.raises(EncodingError) as err:
+        list(text_lines(path, "utf8"))
+    assert str(err.value) == expected
 
 
 class TestLoadUnscored:

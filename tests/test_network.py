@@ -507,6 +507,39 @@ class TestPoolingIgnoresPadding:
         np.testing.assert_array_equal(pooled[0, n:], 0.0)
 
 
+class TestPoolWiderThanMap:
+    """A pool wider than every map of the batch pools, trains and allocates
+    as one exactly as wide as the batch."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wide_pool_matches_batch_wide_pool(self, dtype):
+        _, vocab, params = tiny_model(dtype=dtype, windows=(1, 2, 4), seed=7)
+        rng = np.random.default_rng(23)
+        indices, mask = pad_rows([rng.integers(2, vocab.size, n) for n in (30, 1, 12, 30)])
+        batch = Batch(indices, mask, rng.uniform(size=len(indices)),
+                      tuple(range(len(indices))))
+
+        def run(pool):
+            model = dataclasses.replace(params, config=dataclasses.replace(
+                params.config, pool_size=pool, pool_stride=pool))
+            backward(batch, model, dropout_seed=5)  # warm caches before tracing
+            tracemalloc.start()
+            try:
+                loss, grads = backward(batch, model, dropout_seed=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return forward_batch(indices, mask, model)[0], loss, grads, peak
+
+        narrow, wide = run(indices.shape[1]), run(20_000)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        np.testing.assert_array_equal(wide[0].view(bits), narrow[0].view(bits))
+        assert wide[1] == narrow[1]
+        for name, grad in narrow[2].items():
+            np.testing.assert_array_equal(wide[2][name].view(bits), grad.view(bits))
+        assert wide[3] <= narrow[3]
+
+
 class TestActiveSpanScan:
     """Scans that compute only each step's leading rows still inside their
     sequence, against full-width references, in both scan directions: rows
@@ -854,7 +887,7 @@ class TestInferenceMode:
         vocab = Vocabulary([f"w{i}" for i in range(50)])
         matrix = build_embedding_matrix(vocab, EmbeddingTable(16, {}), seed=0,
                                         dtype=np.float32)
-        params = network.init_parameters(matrix, cfg, dtype=np.float32)
+        params = network.init_parameters(matrix, cfg)
         rng = np.random.default_rng(0)
         indices, mask = pad_rows([rng.integers(2, vocab.size, n)
                                   for n in np.linspace(5, 300, 16).astype(int)])
