@@ -1,10 +1,10 @@
 """Bit-exact binary persistence of trained models.
 
 Layout: the 8-byte magic ``DELAES01``, a length-prefixed JSON metadata block
-(config, vocabulary, score range, optional creation timestamp), then a count
-of named tensors, each as length-prefixed name, u32 rank, u32 dims and raw
-little-endian float32 values.  Saving and reloading reproduces every tensor
-bit for bit.
+(config, vocabulary, score range, optional creation timestamp and essay
+encoding), then a count of named tensors, each as length-prefixed name, u32
+rank, u32 dims and raw little-endian float32 values.  Saving and reloading
+reproduces every tensor bit for bit.
 """
 from __future__ import annotations
 
@@ -29,14 +29,16 @@ class ModelArtifact:
     vocab: Vocabulary
     score_range: ScoreRange
     created: str | None
+    encoding: str | None
 
 
-def save_model(params: ModelParameters, vocab: Vocabulary,
-               score_range: ScoreRange, path, created: str | None = None) -> None:
+def save_model(params: ModelParameters, vocab: Vocabulary, score_range: ScoreRange,
+               path, created: str | None = None, encoding: str | None = None) -> None:
     """Write a model artifact.
 
     ``created`` is recorded verbatim when given; it defaults to None so that
-    identical training runs produce byte-identical files.
+    identical training runs produce byte-identical files.  ``encoding`` (of
+    the training essays) is recorded only when given.
     """
     meta = {
         "config": params.config.to_dict(),
@@ -48,6 +50,8 @@ def save_model(params: ModelParameters, vocab: Vocabulary,
         },
         "created": created,
     }
+    if encoding is not None:
+        meta["encoding"] = encoding
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -133,7 +137,10 @@ def load_model(path) -> ModelArtifact:
             raise FormatError("metadata field 'embedding_trainable' contradicts "
                               "config field 'trainable_embeddings'")
         params = ModelParameters(cfg, tensors, vocab=vocab)
+        encoding = meta.get("encoding")
+        if encoding not in (None, "latin1", "utf8"):
+            raise FormatError(f"metadata field 'encoding' is {encoding!r}, not latin1 or utf8")
     except DelaesError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return ModelArtifact(params=params, vocab=vocab, score_range=score_range,
-                         created=meta.get("created"))
+                         created=meta.get("created"), encoding=encoding)

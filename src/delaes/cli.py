@@ -90,12 +90,13 @@ def _split_train_val(essay_set: EssaySet, cfg: TrainConfig):
 def cmd_train(args) -> int:
     cfg, range_overrides = _load_config(args)
     score_range = _prompt_range(args.prompt, range_overrides)
-    essay_set = load_dataset(args.data, args.prompt, score_range, args.encoding)
+    encoding = args.encoding or "latin1"
+    essay_set = load_dataset(args.data, args.prompt, score_range, encoding)
     train_set, val_set = _split_train_val(essay_set, cfg)
     vocab = build_vocabulary([train_set], min_count=cfg.min_count)
     table = load_embeddings(args.embeddings, cfg.embedding_dim)
     params, history = train(train_set, val_set, vocab, table, cfg)
-    save_model(params, vocab, score_range, args.out)
+    save_model(params, vocab, score_range, args.out, encoding=encoding)
     Path(str(args.out) + ".history.csv").write_text(history_to_csv(history),
                                                     encoding="utf-8")
     best = max((h.val_qwk for h in history), default=float("nan"))
@@ -105,7 +106,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     artifact = load_model(args.model)
-    rows = load_unscored(args.data, artifact.score_range.prompt_id, args.encoding)
+    rows = load_unscored(args.data, artifact.score_range.prompt_id,
+                         args.encoding or artifact.encoding or "latin1")
     essay_ids = [essay_id for essay_id, _ in rows]
     predictions = predict_normalized(artifact.params, artifact.vocab,
                                      [tokens for _, tokens in rows])
@@ -164,7 +166,7 @@ def _report_paths(out: str) -> tuple[Path, Path]:
 def cmd_cv(args) -> int:
     cfg, range_overrides = _load_config(args)
     score_range = _prompt_range(args.prompt, range_overrides)
-    essay_set = load_dataset(args.data, args.prompt, score_range, args.encoding)
+    essay_set = load_dataset(args.data, args.prompt, score_range, args.encoding or "latin1")
     table = load_embeddings(args.embeddings, cfg.embedding_dim)
     report = run_cv(essay_set, table, cfg, k=args.k, seed=args.seed)
     json_path, csv_path = _report_paths(args.out)
@@ -181,10 +183,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "ASAP-format data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Every command that reads essays reads them the same way.
+    # Every command that reads essays reads them the same way.  The parsers
+    # share the --encoding action, so each command resolves its default.
     essays = argparse.ArgumentParser(add_help=False)
     essays.add_argument("--data", required=True)
-    essays.add_argument("--encoding", choices=["latin1", "utf8"], default="latin1")
+    essays.add_argument("--encoding", choices=["latin1", "utf8"])
     essays.add_argument("--out", required=True)
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--prompt", type=int, required=True)

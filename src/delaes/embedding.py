@@ -89,15 +89,13 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     return EmbeddingTable(dimension=expected_dim, vectors=vectors)
 
 
-# A value past the float32 range casts to inf, and inf·0 is NaN: the
-# finiteness check reports both with their line, so the warnings of the cast
-# and of the check would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
+# A value past the float32 range casts to inf, which the finiteness check
+# reports with its line, so the cast's warning would only repeat it.
+@np.errstate(over="ignore")
 def _load_by_line(path, expected_dim: int) -> EmbeddingTable:
     """:func:`load_embeddings` one line at a time, with Python's ``float``:
     the source of every :class:`FormatError` the loader raises."""
     vectors: dict[str, np.ndarray] = {}
-    zeros = np.zeros(expected_dim, dtype=np.float32)
     count = None
     found = 0
     for i, (lineno, line) in enumerate(text_lines(path)):
@@ -116,13 +114,10 @@ def _load_by_line(path, expected_dim: int) -> EmbeddingTable:
             vector = np.array([float(v) for v in values], dtype=np.float32)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
-        # 0·x is NaN exactly for a NaN or infinite x, so one dot product
-        # checks every component: half the cost of isfinite().all().
-        if vector @ zeros != 0:
+        if not np.isfinite(vector).all():
             raise FormatError(f"{path}:{lineno}: non-finite vector component")
         found += 1
-        if token not in vectors:
-            vectors[token] = vector
+        vectors.setdefault(token, vector)
     if count is not None and count != found:
         raise FormatError(f"{path}: header declares {count} vectors, found {found}")
     return EmbeddingTable(dimension=expected_dim, vectors=vectors)

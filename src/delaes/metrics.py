@@ -32,36 +32,33 @@ def _checked_offsets(actual: Sequence[int], predicted: Sequence[int],
     if a.shape != p.shape or a.ndim != 1:
         raise UsageError("actual and predicted must be 1-d sequences of equal length")
     for name, values in (("actual", a), ("predicted", p)):
-        bad = np.nonzero((values < score_range.min_score)
-                         | (values > score_range.max_score))[0]
+        bad = np.flatnonzero((values < score_range.min_score)
+                             | (values > score_range.max_score))
         if bad.size:
-            pos = int(bad[0])
-            raise DomainError(
-                f"{name} rating at position {pos} is {int(values[pos])}, outside "
-                f"{score_range.min_score}-{score_range.max_score}"
-            )
+            raise DomainError(f"{name} rating at position {bad[0]} is {values[bad[0]]}, "
+                              f"outside {score_range.min_score}-{score_range.max_score}")
     return a - score_range.min_score, p - score_range.min_score
 
 
 def observed_matrix(actual, predicted, score_range: ScoreRange) -> np.ndarray:
-    """Counts of (human rating, system rating) pairs over the full scale."""
+    """Counts (int64) of (human rating, system rating) pairs over the full
+    scale; the one check of the ratings that :func:`qwk` makes."""
     a, p = _checked_offsets(actual, predicted, score_range)
     n = score_range.n_ratings
-    observed = np.zeros((n, n), dtype=np.int64)
-    np.add.at(observed, (a, p), 1)
-    return observed
+    counts = np.bincount(a * n + p, minlength=n * n)
+    return counts.astype(np.int64, copy=False).reshape(n, n)
+
+
+def _expected_from(observed: np.ndarray) -> np.ndarray:
+    """Outer product of ``observed``'s marginals, the two rating histograms,
+    normalized to the pair count (all zeros for no pairs)."""
+    hist_a, hist_p = (observed.sum(axis=axis).astype(np.float64) for axis in (1, 0))
+    return np.outer(hist_a, hist_p) / max(observed.sum(), 1)
 
 
 def expected_matrix(actual, predicted, score_range: ScoreRange) -> np.ndarray:
     """Outer product of the two rating histograms, normalized to the pair count."""
-    a, p = _checked_offsets(actual, predicted, score_range)
-    n = score_range.n_ratings
-    hist_a = np.bincount(a, minlength=n).astype(np.float64)
-    hist_p = np.bincount(p, minlength=n).astype(np.float64)
-    total = a.size
-    if total == 0:
-        return np.zeros((n, n), dtype=np.float64)
-    return np.outer(hist_a, hist_p) / total
+    return _expected_from(observed_matrix(actual, predicted, score_range))
 
 
 def qwk(actual, predicted, score_range: ScoreRange) -> float:
@@ -71,11 +68,10 @@ def qwk(actual, predicted, score_range: ScoreRange) -> float:
     vanishes with perfect agreement, which counts as kappa 1; a vanishing
     denominator with any disagreement is undefined.
     """
-    a, _ = _checked_offsets(actual, predicted, score_range)
-    if a.size == 0:
-        raise UsageError("cannot compute kappa of empty sequences")
     observed = observed_matrix(actual, predicted, score_range)
-    expected = expected_matrix(actual, predicted, score_range)
+    if not observed.any():
+        raise UsageError("cannot compute kappa of empty sequences")
+    expected = _expected_from(observed)
     weights = weight_matrix(score_range.n_ratings)
     denominator = float((weights * expected).sum())
     numerator = float((weights * observed).sum())

@@ -42,6 +42,7 @@ positive, which is all the ReLU and the pool need in reverse.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass
@@ -211,7 +212,7 @@ def conv1d_forward(matrix: np.ndarray, weights: np.ndarray,
     if weights.shape[1] % d:
         raise UsageError(f"weights width {weights.shape[1]} is not a multiple "
                          f"of the embedding dimension {d}")
-    [pre] = _conv_pre_batch(matrix.T, np.arange(m)[None], [weights], [bias])
+    [pre] = _conv_pre_batch(matrix.T, np.arange(m)[None], [weights], [bias], np.array([m]))
     return np.maximum(pre[0], 0).T
 
 
@@ -278,16 +279,12 @@ def forward(essay_indices, params: ModelParameters,
 
     Pass a seeded generator to enable training-mode dropout; leave it None
     for deterministic inference.  PAD may follow the essay's real tokens
-    but not precede one: that raises :class:`UsageError`.
+    but not precede one, and every index must be a vocabulary row;
+    :func:`forward_batch` raises :class:`UsageError` otherwise.
     """
     seq = np.asarray(essay_indices, dtype=np.int64)
     if seq.ndim != 1 or seq.size == 0:
         raise UsageError("essay_indices must be a non-empty 1-d index sequence")
-    if seq.min() < 0 or seq.max() >= params.vocab_size:
-        raise UsageError(
-            f"token index {int(seq.min()) if seq.min() < 0 else int(seq.max())} "
-            f"outside vocabulary of size {params.vocab_size}"
-        )
     indices, mask = pad_rows([seq])
     drop_mask = None
     if dropout_rng is not None and params.config.dropout > 0:
@@ -312,23 +309,18 @@ def make_drop_mask(rng: np.random.Generator, shape: tuple[int, ...],
 # Batched internals: each layer's forward and, beside it, its reverse mode
 # ---------------------------------------------------------------------------
 
-def _stack_conv_weights(weights: Sequence[np.ndarray], d: int) -> np.ndarray:
-    """Every channel's (F, k·d) weights as one (d, Σk·F) matrix.
+def _stack_conv_weights(weights: Sequence[np.ndarray], d: int):
+    """Every channel's (F, k·d) weights as one (d, Σk·F) matrix, and each
+    channel's filters ``f``, window ``k`` and first column ``col`` in it.
 
     Columns run channel by channel, then window offset ``j``, then filter:
     channel ``c``'s offset-``j`` block is ``weights[c][:, j*d:(j+1)*d].T``.
     """
-    return np.concatenate([w.reshape(w.shape[0], -1, d).transpose(2, 1, 0)
-                           .reshape(d, -1) for w in weights], axis=1)
-
-
-def _conv_channel_columns(weights: Sequence[np.ndarray], d: int):
-    """Yield each channel's filters ``f``, window ``k`` and first stacked column."""
-    col = 0
-    for w in weights:
-        f, k = w.shape[0], w.shape[1] // d
-        yield f, k, col
-        col += k * f
+    starts = itertools.accumulate((w.size // d for w in weights), initial=0)
+    columns = [(w.shape[0], w.shape[1] // d, col) for w, col in zip(weights, starts)]
+    stacked = np.concatenate([w.reshape(w.shape[0], -1, d).transpose(2, 1, 0)
+                              .reshape(d, -1) for w in weights], axis=1)
+    return stacked, columns
 
 
 #: Most bytes of conv products, shifted conv gradients or GRU input
@@ -348,8 +340,7 @@ def _row_blocks(rows: int, row_bytes: int):
 
 def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
                     weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-                    lengths: np.ndarray | None = None,
-                    worker: ThreadPoolExecutor | None = None):
+                    lengths: np.ndarray, worker: ThreadPoolExecutor | None = None):
     """Pre-activations (B, P, F) of every channel over the rows of ``table``
     (V, d) that ``indices`` (B, L) picks, with ``P = max(L - k + 1, 0)``
     positions for window ``k``.
@@ -363,18 +354,17 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
     Gather and shift-adds run over :func:`_row_blocks` of the batch into a
     reused buffer, so the (B, L, Σk·F) products never exist at once.
 
-    Row ``i`` has ``lengths[i]`` real tokens (every row is real to its end
-    when ``lengths`` is None).  A block is gathered and summed only up to
-    its longest real length; its positions past that are zero, and those
-    of a shorter row before it reach padding.  Given a ``worker``, the
-    blocks alternate between the caller and it, each with a buffer of its
-    own.  Every position is computed by the same operations either way, so
-    neither the trim nor the threads change a bit of a real position.
+    Row ``i`` has ``lengths[i]`` real tokens, ``L`` for a row real to its
+    end.  A block is gathered and summed only up to its longest real
+    length; its positions past that are zero, and those of a shorter row
+    before it reach padding.  Given a ``worker``, the blocks alternate
+    between the caller and it, each with a buffer of its own.  Every
+    position is computed by the same operations either way, so neither the
+    trim nor the threads change a bit of a real position.
     """
     b, length = indices.shape
     d = table.shape[1]
-    stacked = _stack_conv_weights(weights, d)
-    columns = list(_conv_channel_columns(weights, d))
+    stacked, columns = _stack_conv_weights(weights, d)
     pres = [np.empty((b, max(length - k + 1, 0), f), dtype=table.dtype) for f, k, _ in columns]
     tokens, inverse = np.unique(indices, return_inverse=True)
     inverse = inverse.reshape(indices.shape)  # its shape varies across numpy versions
@@ -388,7 +378,7 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
         buf = None
         for rows in blocks:
             n = rows.stop - rows.start
-            width = length if lengths is None else int(lengths[rows].max())
+            width = int(lengths[rows].max())
             if buf is None:
                 buf = np.empty(n * length * stacked.shape[1], dtype=table.dtype)
             products = buf[:n * width * stacked.shape[1]].reshape(n, width, -1)
@@ -431,8 +421,7 @@ def _conv_batch_backward(table: np.ndarray, indices: np.ndarray, lengths: np.nda
     """
     b, length = indices.shape
     d = table.shape[1]
-    stacked = _stack_conv_weights(weights, d)
-    columns = list(_conv_channel_columns(weights, d))
+    stacked, columns = _stack_conv_weights(weights, d)
     g_stacked = np.zeros((d, stacked.shape[1]), dtype=table.dtype)
     buf = None
     for rows in _row_blocks(b, length * stacked.shape[1] * table.itemsize):
@@ -773,9 +762,11 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     """Score a padded batch; returns predictions (B,) and the cache that
     :func:`backward_batch` reads.
 
-    ``mask`` marks each row's real tokens, which come first (else
-    :class:`UsageError`).  ``drop_mask`` is a fixed dropout realization from
-    :func:`make_drop_mask` (all ones for no dropout), or None for
+    ``indices`` (B, L) holds vocabulary rows in ``[0, V)``; ``mask``, of
+    the same shape, marks each row's real tokens, which come first.  Any
+    other input raises :class:`UsageError` (a bad index is reported before
+    a token after padding).  ``drop_mask`` is a fixed dropout realization
+    from :func:`make_drop_mask` (all ones for no dropout), or None for
     inference: then nothing is kept for backprop and the cache is None.
     The predictions of the two modes are equal bit for bit under an
     all-ones mask.  Rows run longest first (a stable sort), so those still
@@ -785,6 +776,11 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     cfg = params.config
     tensors = params.tensors
     keep = drop_mask is not None
+    if indices.ndim != 2 or mask.shape != indices.shape:
+        raise UsageError(f"indices {indices.shape} and mask {mask.shape}: not one 2-d shape")
+    if indices.size and not 0 <= indices.min() <= indices.max() < params.vocab_size:
+        bad = indices.min() if indices.min() < 0 else indices.max()
+        raise UsageError(f"token index {bad} outside vocabulary of size {params.vocab_size}")
     lengths = _prefix_lengths(mask)
     order = np.argsort(-lengths, kind="stable")
     indices, lengths = indices[order], lengths[order]

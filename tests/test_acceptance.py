@@ -166,7 +166,8 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
     reloaded_dir = tmp_path / "resave"
     reloaded_dir.mkdir()
     resaved = reloaded_dir / "model.bin"
-    save_model(loaded.params, loaded.vocab, loaded.score_range, resaved)
+    save_model(loaded.params, loaded.vocab, loaded.score_range, resaved,
+               encoding=loaded.encoding)
     resave_identical = resaved.read_bytes() == first["model"].read_bytes()
 
     corpus = first["corpus"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ class TestRoundTrip:
         save_model(params, vocab, ScoreRange(1, 0, 3), path,
                    created="2026-08-08T00:00:00Z")
         assert load_model(path).created == "2026-08-08T00:00:00Z"
+
+    def test_encoding_recorded_only_when_given(self, saved, tmp_path):
+        path, vocab, params, score_range = saved
+        assert load_model(path).encoding is None
+        assert b'"encoding"' not in path.read_bytes()
+        for encoding in ("latin1", "utf8"):
+            tagged = tmp_path / f"{encoding}.bin"
+            save_model(params, vocab, score_range, tagged, encoding=encoding)
+            assert load_model(tagged).encoding == encoding
+
+    def test_unknown_encoding_rejected(self, saved, tmp_path):
+        _, vocab, params, score_range = saved
+        path = tmp_path / "m.bin"
+        save_model(params, vocab, score_range, path, encoding="cp1252")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: metadata field 'encoding'")):
+            load_model(path)
 
     def test_forward_identical_after_reload(self, saved):
         path, vocab, params, _ = saved

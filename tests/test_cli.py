@@ -277,6 +277,82 @@ class TestPredict:
         assert "outside [0, 1]" not in err
 
 
+@pytest.fixture(scope="module")
+def utf8_model(data_files, tmp_path_factory):
+    """A UTF-8 essay file with non-ASCII words, and a model trained on it
+    with ``--encoding utf8``."""
+    root = tmp_path_factory.mktemp("utf8")
+    data, model = root / "utf8.tsv", root / "model.bin"
+    rows = ["essay_id\tessay_set\tessay\tdomain1_score"]
+    rows += [f"{e.essay_id}\t1\t{' '.join(e.tokens)} café ©\t{e.raw_score}"
+             for e in data_files["corpus"]]
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    args = train_args(data_files, model)
+    args[args.index("--data") + 1] = str(data)
+    assert main(args + ["--encoding", "utf8"]) == 0
+    return data, model
+
+
+class TestPredictEncoding:
+    """``predict`` reads essays with ``--encoding``, else the encoding the
+    model was trained with, else latin-1."""
+
+    @staticmethod
+    def encoding_read(monkeypatch, argv) -> str:
+        """Run ``argv`` and return the encoding ``predict`` read essays with."""
+        from delaes import cli
+        seen = []
+
+        def spy(path, prompt_id, encoding):
+            seen.append(encoding)
+            return original(path, prompt_id, encoding)
+
+        original = cli.load_unscored
+        monkeypatch.setattr(cli, "load_unscored", spy)
+        assert main(argv) == 0
+        [encoding] = seen
+        return encoding
+
+    def test_utf8_model_needs_no_flag(self, utf8_model, tmp_path, monkeypatch):
+        data, model = utf8_model
+        assert load_model(model).encoding == "utf8"
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert self.encoding_read(monkeypatch, predict_args(model, data, plain)) == "utf8"
+        assert main(predict_args(model, data, flagged) + ["--encoding", "utf8"]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
+
+    def test_explicit_flag_wins(self, utf8_model, tmp_path, monkeypatch):
+        data, model = utf8_model
+        argv = predict_args(model, data, tmp_path / "p.csv") + ["--encoding", "latin1"]
+        assert self.encoding_read(monkeypatch, argv) == "latin1"
+
+    def test_latin1_model_reads_latin1(self, model_path, data_files, tmp_path,
+                                       monkeypatch):
+        assert load_model(model_path).encoding == "latin1"
+        argv = predict_args(model_path, data_files["data"], tmp_path / "p.csv")
+        assert self.encoding_read(monkeypatch, argv) == "latin1"
+
+    def test_artifact_without_encoding_reads_latin1(self, utf8_model, tmp_path,
+                                                    monkeypatch):
+        data, model = utf8_model
+        bare = rewrite_metadata(model, tmp_path / "bare.bin",
+                                lambda meta: meta.pop("encoding"))
+        assert load_model(bare).encoding is None
+        argv = predict_args(bare, data, tmp_path / "p.csv")
+        assert self.encoding_read(monkeypatch, argv) == "latin1"
+
+    @pytest.mark.parametrize("value", ["cp1252", "utf-8", 8])
+    def test_bad_encoding_key_exits_1(self, model_path, data_files, tmp_path, capsys,
+                                      value):
+        bad = rewrite_metadata(model_path, tmp_path / "bad.bin",
+                               lambda meta: meta.update(encoding=value))
+        out = tmp_path / "p.csv"
+        assert main(predict_args(bad, data_files["data"], out)) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: metadata field 'encoding' is {value!r}" in err
+        assert not out.exists()
+
+
 class TestConfigRange:
     """A ``rangeN`` entry of a --config file that is not MIN:MAX with MIN < MAX
     is a data error naming the file and the key."""

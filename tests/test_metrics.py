@@ -67,6 +67,20 @@ class TestObservedMatrix:
         with pytest.raises(DomainError, match="position 1"):
             observed_matrix([2, 9], [2, 2], ScoreRange(1, 2, 4))
 
+    def test_counts_are_int64_pair_tallies(self):
+        """Every cell counts its pairs exactly, in int64 whatever the
+        platform's default integer, for an empty input too."""
+        rng = np.random.default_rng(11)
+        r = ScoreRange(8, 10, 60)
+        for n in (0, 1, 7, 500):
+            a, p = rng.integers(10, 61, n), rng.integers(10, 61, n)
+            o = observed_matrix(a, p, r)
+            assert o.dtype == np.int64 and o.shape == (51, 51)
+            want = np.zeros((51, 51), dtype=np.int64)
+            for i, j in zip(a - 10, p - 10):
+                want[i, j] += 1
+            np.testing.assert_array_equal(o, want)
+
 
 class TestExpectedMatrix:
     def test_single_pair_mass(self):
@@ -88,6 +102,22 @@ class TestExpectedMatrix:
             r = ScoreRange(1, 0, 3)
             assert expected_matrix(a, p, r).sum() == pytest.approx(
                 observed_matrix(a, p, r).sum())
+
+    def test_outer_product_of_histograms(self):
+        rng = np.random.default_rng(13)
+        r = ScoreRange(1, 2, 8)
+        for n in (0, 1, 9, 200):
+            a, p = rng.integers(2, 9, n), rng.integers(2, 9, n)
+            hist_a = np.bincount(a - 2, minlength=7).astype(np.float64)
+            hist_p = np.bincount(p - 2, minlength=7).astype(np.float64)
+            want = np.outer(hist_a, hist_p) / n if n else np.zeros((7, 7))
+            np.testing.assert_array_equal(expected_matrix(a, p, r), want)
+
+    def test_ratings_checked(self):
+        with pytest.raises(DomainError, match="predicted rating at position 2 is 1"):
+            expected_matrix([2, 3, 4], [2, 3, 1], ScoreRange(1, 2, 4))
+        with pytest.raises(UsageError, match="equal length"):
+            expected_matrix([2, 3], [2], ScoreRange(1, 2, 4))
 
 
 class TestQwk:

@@ -416,6 +416,31 @@ class TestForward:
         with pytest.raises(UsageError, match="padding"):
             forward_batch(indices, mask, params)
 
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_batch_index_outside_vocabulary_rejected(self, bad, training):
+        """Not read as the last row (-1), nor an IndexError (V), even when a
+        mask hole would also be reported."""
+        _, _, params = tiny_model()
+        assert params.vocab_size == 8
+        indices, mask = pad_rows([[2, 3, 4], [5, 2]])
+        indices[1, 0] = bad
+        mask[0, 1] = False
+        drop_mask = np.ones((2, summary_width(params.config))) if training else None
+        with pytest.raises(UsageError, match=f"^token index {bad} outside vocabulary "
+                                             f"of size 8$"):
+            forward_batch(indices, mask, params, drop_mask)
+
+    @pytest.mark.parametrize("indices, mask", [
+        ([2, 3, 4], [True, True, True]),
+        ([[2, 3, 4]], [[True, True]]),
+        ([[2, 3, 4]], [True, True, True]),
+    ])
+    def test_batch_shapes_rejected(self, indices, mask):
+        _, _, params = tiny_model()
+        with pytest.raises(UsageError, match="2-d shape"):
+            forward_batch(np.array(indices), np.array(mask), params)
+
 
 def oracle_forward(essay, params) -> float:
     """The scorer composed from the layer oracles, one unpadded essay at a
@@ -537,7 +562,13 @@ class TestPoolWiderThanMap:
         assert wide[1] == narrow[1]
         for name, grad in narrow[2].items():
             np.testing.assert_array_equal(wide[2][name].view(bits), grad.view(bits))
-        assert wide[3] <= narrow[3]
+        # tracemalloc sees only the allocations that CPython's free lists and
+        # numpy's small caches do not serve, and what those hold on entry
+        # depends on what ran before: the first traced calls of a process
+        # peak up to a few hundred bytes above later equal ones, whichever
+        # pool runs first.  A pool sized by the config rather than the batch
+        # peaked at 40-80 times the narrow one, far past this margin.
+        assert wide[3] <= 1.1 * narrow[3]
 
 
 class TestActiveSpanScan:
@@ -603,7 +634,8 @@ class TestStackedConv:
         positions = np.arange(1, mask.size + 1).reshape(mask.shape)
         weights = [rng.normal(size=(self.FILTERS, k * self.DIM)) for k in self.WINDOWS]
         biases = [rng.normal(size=self.FILTERS) for _ in self.WINDOWS]
-        pres = _conv_pre_batch(table, positions, weights, biases)
+        pres = _conv_pre_batch(table, positions, weights, biases,
+                               np.full(len(positions), positions.shape[1]))
         d_pres = []
         for k, w, b, pre in zip(self.WINDOWS, weights, biases, pres):
             np.testing.assert_allclose(pre, conv_batch_loop(emb, w, b), rtol=1e-12)
@@ -640,7 +672,8 @@ class TestStackedConv:
         weights = [rng.normal(size=(self.FILTERS, k * self.DIM)).astype(dtype)
                    for k in self.WINDOWS]
         biases = [rng.normal(size=self.FILTERS).astype(dtype) for _ in self.WINDOWS]
-        pres = _conv_pre_batch(table, indices, weights, biases)
+        pres = _conv_pre_batch(table, indices, weights, biases,
+                               np.full(len(indices), indices.shape[1]))
         emb = table[indices].astype(np.float64)
         tol = {"rtol": 1e-12} if dtype == np.float64 else {"rtol": 1e-5, "atol": 1e-5}
         bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
@@ -723,7 +756,8 @@ class TestStackedConv:
         if block_bytes is not None:  # one batch row per block, of its own width
             monkeypatch.setattr(network, "_BLOCK_BYTES", block_bytes)
         table, indices, lengths, weights, biases = self.unsorted_batch(dtype)
-        full = _conv_pre_batch(table, indices, weights, biases)
+        full = _conv_pre_batch(table, indices, weights, biases,
+                               np.full(len(indices), indices.shape[1]))
         trimmed = _conv_pre_batch(table, indices, weights, biases, lengths)
         bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
         for k, want, got in zip(self.WINDOWS, full, trimmed):

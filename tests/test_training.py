@@ -7,6 +7,7 @@ from delaes import TrainConfig, UsageError, build_vocabulary, train
 from delaes.corpus import Essay, EssaySet, ScoreRange
 from delaes.training import (
     backward,
+    clip_gradients,
     evaluate_qwk,
     history_to_csv,
     make_batches,
@@ -142,6 +143,40 @@ class TestRmsProp:
             assert (acc >= 0).all(), name
 
 
+class TestClipGradients:
+    @staticmethod
+    def grads(dtype):
+        rng = np.random.default_rng(3)
+        return {"w": rng.normal(size=(3, 4)).astype(dtype),
+                "b": rng.normal(size=5).astype(dtype)}
+
+    @staticmethod
+    def global_norm(grads) -> float:
+        return float(np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values())))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scales_to_max_norm_and_returns_the_norm_before(self, dtype):
+        grads = self.grads(dtype)
+        before = {name: g.copy() for name, g in grads.items()}
+        norm = self.global_norm(grads)
+        assert norm > 1.0
+        assert clip_gradients(grads, 1.0) == pytest.approx(norm, rel=1e-12)
+        rel = 1e-6 if dtype == np.float32 else 1e-12
+        assert self.global_norm(grads) == pytest.approx(1.0, rel=rel)
+        for name, g in grads.items():
+            assert g.dtype == dtype
+            np.testing.assert_allclose(g, before[name] / norm, rtol=rel)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_below_max_norm_unchanged(self, dtype):
+        grads = self.grads(dtype)
+        before = {name: g.copy() for name, g in grads.items()}
+        norm = self.global_norm(grads)
+        assert clip_gradients(grads, 2 * norm) == pytest.approx(norm, rel=1e-12)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, before[name])
+
+
 class TestTrainLoop:
     def _setup(self, n=24, epochs=5, **cfg_overrides):
         corpus = make_corpus(n, seed=5)
@@ -207,6 +242,18 @@ class TestTrainLoop:
             epochs=2, grad_clip=0.5)
         _, history = train(train_set, val_set, vocab, table, cfg)
         assert len(history) == 2
+
+    def test_grad_clip_applied(self):
+        """A clip below every batch's norm changes the trained parameters;
+        one above every norm leaves them bit for bit as no clip does."""
+        train_set, val_set, vocab, table, cfg = self._setup(epochs=2)
+        trained = {clip: train(train_set, val_set, vocab, table,
+                               replace(cfg, grad_clip=clip))[0].tensors
+                   for clip in (None, 1e-6, 1e9)}
+        for name, tensor in trained[None].items():
+            np.testing.assert_array_equal(trained[1e9][name], tensor, err_msg=name)
+        assert any(not np.array_equal(trained[1e-6][name], tensor)
+                   for name, tensor in trained[None].items())
 
 
 class TestPredictNormalized:
