@@ -13,9 +13,12 @@ from delaes import (
     conv1d_forward,
     embed,
     forward,
+    forward_batch,
     init_parameters,
+    make_drop_mask,
     maxpool,
 )
+from delaes.network import pad_rows, summary_width
 
 cfg = TrainConfig(windows=(2, 3), filters=5, hidden_units=4, dropout=0.4,
                   embedding_dim=6, batch_size=8, epochs=1, seed=42)
@@ -70,7 +73,10 @@ padded_score = forward(vocab.encode(tokens) + [0] * 40, params)
 print("with 40 padding tokens appended:", round(padded_score, 6),
       "| difference:", abs(score - padded_score))
 
-# Dropout only acts in training mode, through an explicit generator:
-training_score = forward(vocab.encode(tokens), params,
-                         dropout_rng=np.random.default_rng(3))
-print("training-mode score (dropout active):", round(training_score, 6))
+# Dropout only acts in training mode: forward_batch applies a fixed dropout
+# realization to the padded batch, drawn from an explicit generator.
+indices, mask = pad_rows([vocab.encode(tokens)])
+drop_mask = make_drop_mask(np.random.default_rng(3), (1, summary_width(cfg)),
+                           cfg.dropout, params.dtype)
+training_scores, _ = forward_batch(indices, mask, params, drop_mask)
+print("training-mode score (dropout active):", round(float(training_scores[0]), 6))

@@ -9,6 +9,7 @@ from .artifact import ModelArtifact, load_model, save_model
 from .config import TrainConfig
 from .corpus import (
     DEFAULT_RANGES,
+    ENCODINGS,
     PAD_INDEX,
     PAD_TOKEN,
     UNK_INDEX,

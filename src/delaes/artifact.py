@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import ScoreRange, Vocabulary
-from .errors import DelaesError, FormatError
+from .corpus import ENCODINGS, ScoreRange, Vocabulary
+from .errors import DelaesError, FormatError, UsageError
 from .network import ModelParameters
 
 MAGIC = b"DELAES01"
@@ -36,10 +36,17 @@ def save_model(params: ModelParameters, vocab: Vocabulary, score_range: ScoreRan
                path, created: str | None = None, encoding: str | None = None) -> None:
     """Write a model artifact.
 
-    ``created`` is recorded verbatim when given; it defaults to None so that
-    identical training runs produce byte-identical files.  ``encoding`` (of
-    the training essays) is recorded only when given.
+    ``created``, a string, is recorded verbatim when given; it defaults to
+    None so that identical training runs produce byte-identical files.
+    ``encoding``, the :data:`~delaes.corpus.ENCODINGS` name (``latin1`` or
+    ``utf8``) the training essays were read with, is recorded only when
+    given.  Any other value of either raises :class:`UsageError` before the
+    file is opened.
     """
+    if not isinstance(created, (str, type(None))):
+        raise UsageError(f"created must be a string or None, not {created!r}")
+    if encoding not in (None, *ENCODINGS):
+        raise UsageError(f"unsupported encoding {encoding!r} (use latin1 or utf8)")
     meta = {
         "config": params.config.to_dict(),
         "vocabulary": vocab.corpus_tokens(),
@@ -137,10 +144,14 @@ def load_model(path) -> ModelArtifact:
             raise FormatError("metadata field 'embedding_trainable' contradicts "
                               "config field 'trainable_embeddings'")
         params = ModelParameters(cfg, tensors, vocab=vocab)
+        created = meta.get("created")
+        if not isinstance(created, (str, type(None))):
+            raise FormatError(f"metadata field 'created' is {created!r}, not a string or null")
+        # A tuple test, so a JSON list or object is refused like any other value.
         encoding = meta.get("encoding")
-        if encoding not in (None, "latin1", "utf8"):
+        if encoding not in (None, *ENCODINGS):
             raise FormatError(f"metadata field 'encoding' is {encoding!r}, not latin1 or utf8")
     except DelaesError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return ModelArtifact(params=params, vocab=vocab, score_range=score_range,
-                         created=meta.get("created"), encoding=encoding)
+                         created=created, encoding=encoding)

@@ -17,6 +17,7 @@ import numpy as np
 from .artifact import load_model, save_model
 from .config import TrainConfig, apply_config_entries, parse_config_file
 from .corpus import (
+    ENCODINGS,
     EssaySet,
     ScoreRange,
     build_vocabulary,
@@ -187,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # share the --encoding action, so each command resolves its default.
     essays = argparse.ArgumentParser(add_help=False)
     essays.add_argument("--data", required=True)
-    essays.add_argument("--encoding", choices=["latin1", "utf8"])
+    essays.add_argument("--encoding", choices=list(ENCODINGS))
     essays.add_argument("--out", required=True)
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--prompt", type=int, required=True)

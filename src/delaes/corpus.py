@@ -34,12 +34,8 @@ _REQUIRED_COLUMNS = ("essay_id", "essay_set", "essay", "domain1_score")
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
-_ENCODINGS = {
-    "latin1": "latin-1",
-    "latin-1": "latin-1",
-    "utf8": "utf-8",
-    "utf-8": "utf-8",
-}
+#: The one name of each accepted essay encoding, and its Python codec.
+ENCODINGS = {"latin1": "latin-1", "utf8": "utf-8"}
 
 
 def tokenize(text: str) -> list[str]:
@@ -185,12 +181,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self._token_to_index)
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_index
-
     def index(self, token: str) -> int:
         return self._token_to_index.get(token, UNK_INDEX)
 
@@ -224,14 +214,16 @@ def text_lines(path, encoding: str = "utf8") -> Iterator[tuple[int, str]]:
 
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``; line numbers count
     every physical line, blank ones included; only the line ending is
-    removed, so tabs and spaces at either end are kept.  ``encoding`` is
-    ``latin1`` or ``utf8``; an undecodable byte raises
-    :class:`EncodingError` naming the path, in place of its line, so every
-    line before it is read first.
+    removed, so tabs and spaces at either end are kept.  ``encoding`` is a
+    key of :data:`ENCODINGS`, exactly ``latin1`` or ``utf8`` (else
+    :class:`UsageError`); an undecodable byte raises :class:`EncodingError`
+    naming the path, in place of its line, so every line before it is read
+    first.
     """
-    codec = _ENCODINGS.get(encoding.lower())
-    if codec is None:
+    # A tuple test, so an unhashable value is refused like any other.
+    if encoding not in tuple(ENCODINGS):
         raise UsageError(f"unsupported encoding {encoding!r} (use latin1 or utf8)")
+    codec = ENCODINGS[encoding]
     # surrogateescape decodes each bad byte to U+DC80..U+DCFF, which no valid
     # input decodes to, so the error surfaces at its line and not at the
     # decoding chunk that holds it.

@@ -21,9 +21,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
 
 @dataclass
 class EmbeddingMatrix:

@@ -64,23 +64,19 @@ def expected_matrix(actual, predicted, score_range: ScoreRange) -> np.ndarray:
 def qwk(actual, predicted, score_range: ScoreRange) -> float:
     """Quadratic weighted kappa: 1 - sum(W*O) / sum(W*E).
 
-    When both raters put all mass on the same single rating the denominator
-    vanishes with perfect agreement, which counts as kappa 1; a vanishing
-    denominator with any disagreement is undefined.
+    The denominator vanishes only when both raters put every essay on one
+    shared rating: E is non-negative and W is positive off the diagonal, so
+    E lies on the diagonal, which makes both histograms a single rating.
+    Then O = E, perfect agreement, and the kappa is 1.
     """
     observed = observed_matrix(actual, predicted, score_range)
     if not observed.any():
         raise UsageError("cannot compute kappa of empty sequences")
-    expected = _expected_from(observed)
     weights = weight_matrix(score_range.n_ratings)
-    denominator = float((weights * expected).sum())
-    numerator = float((weights * observed).sum())
+    denominator = float((weights * _expected_from(observed)).sum())
     if denominator == 0.0:
-        if np.array_equal(observed.astype(np.float64), expected):
-            return 1.0
-        raise DomainError("kappa undefined: zero expected disagreement with "
-                          "non-identical matrices")
-    return 1.0 - numerator / denominator
+        return 1.0
+    return 1.0 - float((weights * observed).sum()) / denominator
 
 
 def read_predictions(path) -> list[tuple[int, int]]:

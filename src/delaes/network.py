@@ -270,28 +270,23 @@ def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
     return outputs, summary[0]
 
 
-def forward(essay_indices, params: ModelParameters,
-            dropout_rng: np.random.Generator | None = None) -> float:
-    """Score one essay, returning a normalized prediction in [0, 1].
+def forward(essay_indices, params: ModelParameters) -> float:
+    """Score one essay in inference mode, returning a normalized prediction
+    in [0, 1].
 
     The prediction is :func:`sigmoid` of a logit, so it is strictly inside
     (0, 1) unless the logit is large enough for sigmoid to round to 0 or 1.
-
-    Pass a seeded generator to enable training-mode dropout; leave it None
-    for deterministic inference.  PAD may follow the essay's real tokens
-    but not precede one, and every index must be a vocabulary row;
-    :func:`forward_batch` raises :class:`UsageError` otherwise.
+    Training-mode dropout goes through :func:`forward_batch`'s
+    ``drop_mask``.  ``essay_indices`` must be 1-d; the essay needs at least
+    one real token, PAD may follow its real tokens but not precede one, and
+    every index must be a vocabulary row: :func:`forward_batch` raises
+    :class:`UsageError` otherwise.
     """
     seq = np.asarray(essay_indices, dtype=np.int64)
-    if seq.ndim != 1 or seq.size == 0:
-        raise UsageError("essay_indices must be a non-empty 1-d index sequence")
+    if seq.ndim != 1:
+        raise UsageError("essay_indices must be a 1-d index sequence")
     indices, mask = pad_rows([seq])
-    drop_mask = None
-    if dropout_rng is not None and params.config.dropout > 0:
-        drop_mask = make_drop_mask(dropout_rng, (1, summary_width(params.config)),
-                                   params.config.dropout, params.dtype)
-    yhat, _ = forward_batch(indices, mask, params, drop_mask)
-    return float(yhat[0])
+    return float(forward_batch(indices, mask, params)[0][0])
 
 
 def make_drop_mask(rng: np.random.Generator, shape: tuple[int, ...],
@@ -381,7 +376,7 @@ def _conv_pre_batch(table: np.ndarray, indices: np.ndarray,
             width = int(lengths[rows].max())
             if buf is None:
                 buf = np.empty(n * length * stacked.shape[1], dtype=table.dtype)
-            products = buf[:n * width * stacked.shape[1]].reshape(n, width, -1)
+            products = buf[:n * width * stacked.shape[1]].reshape(n, width, stacked.shape[1])
             # mode="clip" writes straight into ``out``; the default "raise"
             # gathers into a temporary first, 3x slower.  Every index is in range.
             np.take(projected, inverse[rows, :width], axis=0, out=products, mode="clip")
@@ -428,7 +423,7 @@ def _conv_batch_backward(table: np.ndarray, indices: np.ndarray, lengths: np.nda
         n, width = rows.stop - rows.start, int(lengths[rows].max())
         if buf is None:
             buf = np.empty(n * length * stacked.shape[1], dtype=table.dtype)
-        shifted = buf[:n * width * stacked.shape[1]].reshape(n, width, -1)
+        shifted = buf[:n * width * stacked.shape[1]].reshape(n, width, stacked.shape[1])
         for (f, k, col), d_pre in zip(columns, d_pres):
             p = max(width - k + 1, 0)
             for j in range(k):
@@ -763,9 +758,10 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     :func:`backward_batch` reads.
 
     ``indices`` (B, L) holds vocabulary rows in ``[0, V)``; ``mask``, of
-    the same shape, marks each row's real tokens, which come first.  Any
-    other input raises :class:`UsageError` (a bad index is reported before
-    a token after padding).  ``drop_mask`` is a fixed dropout realization
+    the same shape, marks each row's real tokens, which come first, and
+    every row has at least one.  Any other input raises :class:`UsageError`
+    (a bad index is reported before a token after padding, and that before
+    a row with no real token).  ``drop_mask`` is a fixed dropout realization
     from :func:`make_drop_mask` (all ones for no dropout), or None for
     inference: then nothing is kept for backprop and the cache is None.
     The predictions of the two modes are equal bit for bit under an
@@ -782,6 +778,8 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
         bad = indices.min() if indices.min() < 0 else indices.max()
         raise UsageError(f"token index {bad} outside vocabulary of size {params.vocab_size}")
     lengths = _prefix_lengths(mask)
+    if not lengths.all():
+        raise UsageError(f"batch row {int(np.argmin(lengths))} has no real token")
     order = np.argsort(-lengths, kind="stable")
     indices, lengths = indices[order], lengths[order]
     channels = []

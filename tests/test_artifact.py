@@ -1,9 +1,11 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from delaes import FormatError, forward, load_model, save_model
+from delaes import FormatError, UsageError, forward, load_model, save_model
 from delaes.corpus import ScoreRange
 
 from synthdata import tiny_model
@@ -16,6 +18,16 @@ def saved(tmp_path):
     path = tmp_path / "model.bin"
     save_model(params, vocab, score_range, path)
     return path, vocab, params, score_range
+
+
+def rewrite_metadata(path, change):
+    """Rewrite the artifact at ``path`` with ``change`` applied to its metadata."""
+    raw = path.read_bytes()
+    meta_len = struct.unpack_from("<I", raw, 8)[0]
+    meta = json.loads(raw[12:12 + meta_len])
+    change(meta)
+    blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len:])
 
 
 class TestRoundTrip:
@@ -52,11 +64,27 @@ class TestRoundTrip:
             save_model(params, vocab, score_range, tagged, encoding=encoding)
             assert load_model(tagged).encoding == encoding
 
-    def test_unknown_encoding_rejected(self, saved, tmp_path):
-        _, vocab, params, score_range = saved
-        path = tmp_path / "m.bin"
-        save_model(params, vocab, score_range, path, encoding="cp1252")
+    @pytest.mark.parametrize("encoding", ["cp1252", "utf-8", "UTF8", "latin-1", 8,
+                                          ["utf8"], {"a": 1}])
+    def test_unknown_encoding_rejected(self, saved, tmp_path, encoding):
+        path, vocab, params, score_range = saved
+        unsaved = tmp_path / "m.bin"
+        with pytest.raises(UsageError, match="unsupported encoding"):
+            save_model(params, vocab, score_range, unsaved, encoding=encoding)
+        assert not unsaved.exists()
+        rewrite_metadata(path, lambda meta: meta.update(encoding=encoding))
         with pytest.raises(FormatError, match=re.escape(f"{path}: metadata field 'encoding'")):
+            load_model(path)
+
+    @pytest.mark.parametrize("created", [7, 1.5, True, ["x"], [], {"a": 1}, {}])
+    def test_created_must_be_a_string_or_none(self, saved, tmp_path, created):
+        path, vocab, params, score_range = saved
+        unsaved = tmp_path / "m.bin"
+        with pytest.raises(UsageError, match="created must be a string or None"):
+            save_model(params, vocab, score_range, unsaved, created=created)
+        assert not unsaved.exists()
+        rewrite_metadata(path, lambda meta: meta.update(created=created))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: metadata field 'created'")):
             load_model(path)
 
     def test_forward_identical_after_reload(self, saved):
@@ -87,8 +115,6 @@ class TestRejection:
             load_model(path)
 
     def test_tensor_name_not_utf8(self, saved):
-        import struct
-
         path, *_ = saved
         raw = bytearray(path.read_bytes())
         meta_len = struct.unpack_from("<I", raw, 8)[0]
@@ -99,8 +125,6 @@ class TestRejection:
 
     @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)])
     def test_overflowing_dimensions(self, saved, dims):
-        import struct
-
         path, *_ = saved
         raw = path.read_bytes()
         meta_len = struct.unpack_from("<I", raw, 8)[0]
@@ -113,8 +137,6 @@ class TestRejection:
             load_model(path)
 
     def test_repeated_tensor_name(self, saved):
-        import struct
-
         path, _, params, _ = saved
         raw = path.read_bytes()
         meta_len = struct.unpack_from("<I", raw, 8)[0]
@@ -132,18 +154,33 @@ class TestRejection:
             load_model(path)
 
     def test_shape_metadata_mismatch(self, saved):
-        import json
-        import struct
+        path, *_ = saved
+        # grow the declared vocabulary: the stored embedding tensor no longer
+        # matches the shape the metadata implies
+        rewrite_metadata(path, lambda meta: meta["vocabulary"].append("extra-token"))
+        with pytest.raises(FormatError, match="shape"):
+            load_model(path)
 
+    def test_non_string_vocabulary_token(self, saved):
+        path, *_ = saved
+        rewrite_metadata(path, lambda meta: meta["vocabulary"].__setitem__(0, 5))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: metadata field 'vocabulary' holds a non-string token")):
+            load_model(path)
+
+    @pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe"])
+    def test_metadata_not_json(self, saved, blob):
         path, *_ = saved
         raw = path.read_bytes()
         meta_len = struct.unpack_from("<I", raw, 8)[0]
-        meta = json.loads(raw[12:12 + meta_len])
-        # grow the declared vocabulary: the stored embedding tensor no longer
-        # matches the shape the metadata implies
-        meta["vocabulary"].append("extra-token")
-        blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
                          + raw[12 + meta_len:])
-        with pytest.raises(FormatError, match="shape"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: corrupt metadata block")):
+            load_model(path)
+
+    def test_trailing_bytes(self, saved):
+        path, *_ = saved
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: trailing bytes after last tensor")):
             load_model(path)

@@ -79,6 +79,43 @@ class TestTrain:
         assert main(args) == 1
         assert "outside range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("", "{data}: empty file, header row required"),
+        ("\n \n", "{data}: empty file, header row required"),
+        ("essay_id\tessay_set\tessay\tdomain1_score\n1\t1\tsome text\tabc\n",
+         "{data}:2: cannot parse domain1_score='abc' as an integer"),
+        ("essay_id\tessay_set\tessay\tdomain1_score\n1\t1\tsome text here\t2\n",
+         "need at least 2 essays to carve out a validation set"),
+    ], ids=["empty", "blank-lines-only", "non-integer-score", "one-essay"])
+    def test_unusable_data_exits_1(self, data_files, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(rows)
+        args = train_args(data_files, tmp_path / "m.bin")
+        args[args.index("--data") + 1] = str(bad)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(data=bad)}\n"
+
+    def test_prompt_without_a_range_exits_1(self, data_files, tmp_path, capsys):
+        args = train_args(data_files, tmp_path / "m.bin")
+        args[args.index("--prompt") + 1] = "9"
+        assert main(args) == 1
+        assert capsys.readouterr().err == ("error: no built-in score range for prompt 9; "
+                                           "supply one explicitly\n")
+
+    @pytest.mark.parametrize("entry, message", [
+        ("filters = 0", "filters must be positive"),
+        ("val_fraction = 1", "val_fraction must lie in (0, 1)"),
+    ])
+    def test_unusable_config_value_exits_1(self, data_files, tmp_path, capsys, entry,
+                                           message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(data_files["config"].read_text() + entry + "\n")
+        args = train_args(data_files, tmp_path / "m.bin")
+        args[args.index("--config") + 1] = str(config)
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "1e40"])
     def test_non_finite_embedding_names_the_line(self, data_files, tmp_path, capsys,
                                                  value):
@@ -206,6 +243,26 @@ class TestPredict:
         assert main(predict_args(bad, data_files["data"], tmp_path / "p.csv")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda meta: meta["config"].update(windows=[]),
+         "windows must be a non-empty tuple of positive sizes"),
+        (lambda meta: meta["config"].update(windows=[2, 3, 4]),
+         "tensor names mismatch: missing=['conv4.bias'"),
+        (lambda meta: meta["vocabulary"].append(5),
+         "metadata field 'vocabulary' holds a non-string token"),
+        (lambda meta: meta.update(created=7), "metadata field 'created' is 7"),
+        (lambda meta: meta.update(created=[]), "metadata field 'created' is []"),
+        (lambda meta: meta.update(created={}), "metadata field 'created' is {}"),
+    ], ids=["empty-windows", "missing-tensors", "non-string-token", "int-created",
+            "list-created", "object-created"])
+    def test_unusable_metadata_names_the_file(self, model_path, data_files, tmp_path,
+                                              capsys, change, message):
+        bad = rewrite_metadata(model_path, tmp_path / "bad.bin", change)
+        out = tmp_path / "p.csv"
+        assert main(predict_args(bad, data_files["data"], out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        assert not out.exists()
 
     def test_artifact_naming_the_last_state_summary_scores_the_same(
             self, model_path, data_files, tmp_path):
@@ -341,7 +398,7 @@ class TestPredictEncoding:
         argv = predict_args(bare, data, tmp_path / "p.csv")
         assert self.encoding_read(monkeypatch, argv) == "latin1"
 
-    @pytest.mark.parametrize("value", ["cp1252", "utf-8", 8])
+    @pytest.mark.parametrize("value", ["cp1252", "utf-8", 8, ["utf8"], {"a": 1}])
     def test_bad_encoding_key_exits_1(self, model_path, data_files, tmp_path, capsys,
                                       value):
         bad = rewrite_metadata(model_path, tmp_path / "bad.bin",
@@ -458,6 +515,18 @@ class TestEval:
                      "--range", "2:4"]) == 1
         assert "9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pred, gold, message", [
+        ("1,2\n", "1,2\n2,3\n", "essay id 2 missing from prediction file"),
+        ("1,2\n2,abc\n", "1,2\n2,3\n", "{pred}:2: cannot parse score='abc' as an integer"),
+    ], ids=["missing-prediction", "unparsable-score"])
+    def test_unusable_prediction_file_exits_1(self, tmp_path, capsys, pred, gold, message):
+        files = {"pred": tmp_path / "pred.csv", "gold": tmp_path / "gold.csv"}
+        files["pred"].write_text(pred)
+        files["gold"].write_text(gold)
+        assert main(["eval", "--pred", str(files["pred"]), "--gold", str(files["gold"]),
+                     "--range", "2:4"]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+
     def test_duplicate_prediction_id_exits_1(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
         gold = tmp_path / "gold.csv"
@@ -513,6 +582,14 @@ class TestCv:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert len(payload["rounds"]) == 2
         assert "mean QWK" in capsys.readouterr().out
+
+    def test_json_out_names_both_reports(self, data_files, tmp_path):
+        assert main(["cv", "--data", str(data_files["data"]), "--prompt", "1",
+                     "--embeddings", str(data_files["vectors"]),
+                     "--k", "2", "--seed", "3", "--out", str(tmp_path / "r.json"),
+                     "--config", str(data_files["config"])]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+        assert len(json.loads((tmp_path / "r.json").read_text())["rounds"]) == 2
 
     def test_same_seed_identical_reports(self, data_files, tmp_path):
         args = lambda out: ["cv", "--data", str(data_files["data"]),

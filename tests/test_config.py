@@ -44,6 +44,15 @@ class TestApplyEntries:
         with pytest.raises(FormatError, match="epochs"):
             apply_config_entries(TrainConfig(), {"epochs": "many"})
 
+    @pytest.mark.parametrize("value, parsed", [
+        ("true", True), ("Yes", True), ("1", True), ("on", True),
+        ("false", False), ("NO", False), ("0", False), ("off", False),
+    ])
+    def test_bool_spellings(self, value, parsed):
+        for key in ("trainable_embeddings", "reshuffle_each_epoch"):
+            cfg = apply_config_entries(TrainConfig(), {key: value})
+            assert getattr(cfg, key) is parsed
+
     def test_bad_bool(self):
         with pytest.raises(FormatError):
             apply_config_entries(TrainConfig(), {"trainable_embeddings": "maybe"})

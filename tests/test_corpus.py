@@ -209,6 +209,13 @@ class TestLoadDataset:
         loaded = load_dataset(path, 1, ScoreRange(1, 2, 4), encoding="latin1")
         assert "café" in loaded.essays[0].tokens
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "UTF8", "latin-1", "Latin1", "cp1252",
+                                          None, ["utf8"]])
+    def test_only_the_two_encoding_names_accepted(self, tmp_path, encoding):
+        path = write(tmp_path / "d.tsv", f"{TSV_HEADER}\n1\t1\tessay\t3\n")
+        with pytest.raises(UsageError, match="unsupported encoding"):
+            list(text_lines(path, encoding))
+
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_undecodable_byte_named_by_line_and_file_offset(self, tmp_path, ending):
         # Far past the text reader's 8 KB decoding chunk, after rows with

@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script runs to completion against the package in ``src/``,
+with every warning an error: the suite's ``filterwarnings`` does not reach a
+child process."""
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

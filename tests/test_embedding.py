@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaes import (
+    DomainError,
     EmbeddingTable,
     EncodingError,
     FormatError,
@@ -64,6 +65,13 @@ class TestLoadEmbeddings:
         path = write(tmp_path / "v.txt", "a 1.0 2.0\na 9.0 9.0\n")
         table = load_embeddings(path, expected_dim=2)
         np.testing.assert_array_equal(table.vectors["a"], [1.0, 2.0])
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_expected_dim_below_one_rejected(self, tmp_path, dim):
+        path = tmp_path / "v.txt"
+        path.write_text("hello 0.5 1.5\n")
+        with pytest.raises(DomainError, match="expected_dim must be >= 1"):
+            load_embeddings(path, dim)
 
     def test_scientific_notation(self, tmp_path):
         path = write(tmp_path / "v.txt", "a 1e-3 -2.5E2\n")

@@ -212,3 +212,9 @@ class TestBackwardContracts:
         params.tensors["dense.weights"][0] = np.nan
         with pytest.raises(NumericError, match="dense.weights"):
             backward(one_essay_batch(vocab, ESSAY), params, dropout_seed=1)
+
+    def test_nonfinite_target_surfaces_the_loss_only(self):
+        from delaes import NumericError
+        _, vocab, params = tiny_model(dtype=np.float64, dropout=0.0)
+        with pytest.raises(NumericError, match="first non-finite tensor: <loss only>$"):
+            backward(one_essay_batch(vocab, ESSAY, target=np.nan), params, dropout_seed=1)

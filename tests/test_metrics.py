@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +137,25 @@ class TestQwk:
 
     def test_degenerate_agreement_is_one(self):
         assert qwk([2, 2, 2], [2, 2, 2], ScoreRange(1, 2, 4)) == 1.0
+
+    def test_zero_expected_disagreement_only_with_observed_equal_to_expected(self):
+        """Every rating-pair set of up to 3 essays on 2 or 3 ratings: where
+        sum(W*E) is 0, O equals E and the kappa is 1."""
+        zero = 0
+        for n in (2, 3):
+            score_range = ScoreRange(1, 0, n - 1)
+            weights = weight_matrix(n)
+            pairs = list(itertools.product(range(n), repeat=2))
+            for count in (1, 2, 3):
+                for chosen in itertools.product(pairs, repeat=count):
+                    actual, predicted = zip(*chosen)
+                    expected = expected_matrix(actual, predicted, score_range)
+                    if (weights * expected).sum() == 0.0:
+                        zero += 1
+                        observed = observed_matrix(actual, predicted, score_range)
+                        np.testing.assert_array_equal(observed, expected)
+                        assert qwk(actual, predicted, score_range) == 1.0
+        assert zero == 2 * 3 + 3 * 3  # one set per shared rating and essay count
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(9)

@@ -91,6 +91,15 @@ class TestConv:
         out = conv1d_forward(np.ones((2, 2)), np.ones((4, 6)), np.zeros(4))
         assert out.shape == (4, 0)
 
+    def test_essay_without_tokens_gives_empty_map(self):
+        out = conv1d_forward(np.zeros((2, 0)), np.ones((4, 6)), np.zeros(4))
+        assert out.shape == (4, 0)
+
+    def test_weights_not_a_multiple_of_the_dimension_rejected(self):
+        with pytest.raises(UsageError, match="weights width 5 is not a multiple of "
+                                             "the embedding dimension 2"):
+            conv1d_forward(np.ones((2, 4)), np.ones((3, 5)), np.zeros(3))
+
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(13)
         d, m, k, f = 2, 4, 3, 2
@@ -352,6 +361,13 @@ class TestInitParameters:
         with pytest.raises(UsageError, match="trainable_embeddings"):
             network.init_parameters(matrix, cfg)
 
+    def test_matrix_of_another_dimension_rejected(self):
+        cfg = TrainConfig(windows=(2,), filters=3, hidden_units=4, embedding_dim=8)
+        matrix = build_embedding_matrix(Vocabulary(["a"]), EmbeddingTable(6, {}), seed=0)
+        with pytest.raises(UsageError, match="embedding matrix has dimension 6, "
+                                             "config says 8"):
+            network.init_parameters(matrix, cfg)
+
 
 class TestForward:
     def test_zero_head_gives_half(self):
@@ -372,13 +388,6 @@ class TestForward:
         padded = forward(list(idx) + [0] * 50, params)
         assert abs(base - padded) < 1e-6
 
-    def test_deterministic_under_fixed_dropout_seed(self):
-        _, vocab, params = tiny_model(dropout=0.4)
-        idx = vocab.encode(["alpha", "bravo", "charlie"])
-        first = forward(idx, params, np.random.default_rng(99))
-        second = forward(idx, params, np.random.default_rng(99))
-        assert first == second
-
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(14)
         _, vocab, params = tiny_model(dropout=0.0, seed=2)
@@ -397,6 +406,29 @@ class TestForward:
         _, _, params = tiny_model()
         with pytest.raises(UsageError):
             forward([], params)
+
+    @pytest.mark.parametrize("essay", [[PAD_INDEX], [PAD_INDEX, PAD_INDEX]])
+    def test_essay_of_padding_only_rejected(self, essay):
+        _, _, params = tiny_model()
+        with pytest.raises(UsageError, match="^batch row 0 has no real token$"):
+            forward(essay, params)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_batch_row_without_a_real_token_rejected(self, training):
+        """Wherever the row sits in the batch; a PAD hole in another row is
+        reported first."""
+        _, _, params = tiny_model()
+        for rows, hole, bad in (([[2, 3, 4], [5, 2], []], False, 2),
+                                ([[], [5]], False, 0),
+                                ([[2, 3, 4], []], True, None)):
+            indices, mask = pad_rows(rows)
+            if hole:
+                mask[0, 1] = False
+            drop_mask = np.ones((len(rows), summary_width(params.config))) \
+                if training else None
+            message = "padding" if bad is None else f"^batch row {bad} has no real token$"
+            with pytest.raises(UsageError, match=message):
+                forward_batch(indices, mask, params, drop_mask)
 
     def test_out_of_vocabulary_index_rejected(self):
         _, _, params = tiny_model()

@@ -1,9 +1,11 @@
+import itertools
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from delaes import TrainConfig, UsageError, build_vocabulary, train
+from delaes import TrainConfig, UsageError, build_vocabulary, train, training
 from delaes.corpus import Essay, EssaySet, ScoreRange
 from delaes.training import (
     backward,
@@ -63,6 +65,11 @@ class TestMakeBatches:
             assert batch.targets.dtype == np.float64
             np.testing.assert_array_equal(batch.targets.view(np.uint64),
                                           expected.view(np.uint64))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, corpus, vocab, batch_size):
+        with pytest.raises(UsageError, match="batch_size must be >= 1"):
+            make_batches(corpus, vocab, batch_size, shuffle_seed=0)
 
     def test_empty_set(self, corpus, vocab):
         empty = corpus.subset([])
@@ -212,6 +219,11 @@ class TestTrainLoop:
         with pytest.raises(UsageError):
             train(train_set.subset([]), val_set, vocab, table, cfg)
 
+    def test_empty_validation_set_rejected(self):
+        train_set, val_set, vocab, table, cfg = self._setup(epochs=1)
+        with pytest.raises(UsageError, match="validation set is empty"):
+            train(train_set, val_set.subset([]), vocab, table, cfg)
+
     def test_loss_monotone_with_fixed_batches_and_no_dropout(self):
         train_set, val_set, vocab, table, cfg = self._setup(
             n=24, epochs=40, dropout=0.0, reshuffle_each_epoch=False,
@@ -223,6 +235,28 @@ class TestTrainLoop:
                 f"loss increased at epoch {epoch_index + 1}: "
                 f"{mses[epoch_index - 1]} -> {mses[epoch_index]}"
             )
+
+    @pytest.mark.parametrize("dropout, reshuffle, warned", [
+        (0.0, False, True), (0.4, False, False), (0.0, True, False)])
+    def test_rising_train_mse_warns_only_for_fixed_batches_without_dropout(
+            self, monkeypatch, caplog, dropout, reshuffle, warned):
+        """Only there can an exact step not raise the train MSE, so only there
+        is a rise logged; the stubbed losses rise with every batch."""
+        train_set, val_set, vocab, table, cfg = self._setup(
+            epochs=3, dropout=dropout, reshuffle_each_epoch=reshuffle)
+        losses = itertools.count(1.0)
+
+        def rising(batch, params, dropout_seed):
+            return next(losses), {name: np.zeros_like(t) for name, t in params.tensors.items()}
+
+        monkeypatch.setattr(training, "backward", rising)
+        with caplog.at_level(logging.WARNING, logger="delaes.training"):
+            _, history = train(train_set, val_set, vocab, table, cfg)
+        assert history[0].train_mse < history[1].train_mse < history[2].train_mse
+        messages = [r.getMessage() for r in caplog.records if r.name == "delaes.training"]
+        expected = [f"train MSE increased at epoch {e}: {history[e - 2].train_mse:.6g} -> "
+                    f"{history[e - 1].train_mse:.6g}" for e in (2, 3)]
+        assert messages == (expected if warned else [])
 
     def test_pad_embedding_row_stays_zero_after_training(self):
         train_set, val_set, vocab, table, cfg = self._setup(epochs=6)
@@ -290,6 +324,12 @@ class TestPredictNormalized:
         _, vocab, params = tiny_model()
         with pytest.raises(UsageError, match="batch_size"):
             predict_normalized(params, vocab, self.essays(vocab, (4, 7, 2)), batch_size)
+
+    @pytest.mark.parametrize("essays", [[[]], [["alpha"], []], [[], ["alpha", "bravo"]]])
+    def test_essay_without_tokens_rejected(self, essays):
+        _, vocab, params = tiny_model()
+        with pytest.raises(UsageError, match="has no real token"):
+            predict_normalized(params, vocab, essays)
 
     def test_no_essays_no_scores(self):
         _, vocab, params = tiny_model()
