@@ -133,8 +133,9 @@ class Essay:
 class EssaySet:
     """Ordered essays of one prompt, the ``prompt_id`` of ``score_range``.
 
-    Essay ids are unique (else :class:`UsageError`) and every raw score lies
-    in the range (else :class:`ScoreRangeError` naming the essay).
+    Essay ids are unique and every essay has a token (else
+    :class:`UsageError`), and every raw score lies in the range (else
+    :class:`ScoreRangeError`), each error naming the essay.
     """
 
     essays: tuple[Essay, ...]
@@ -146,6 +147,8 @@ class EssaySet:
             if essay.essay_id in seen:
                 raise UsageError(f"duplicate essay id {essay.essay_id}")
             seen.add(essay.essay_id)
+            if not essay.tokens:
+                raise UsageError(f"essay {essay.essay_id}: no tokens")
             _check_score(essay.raw_score, self.score_range,
                          f"essay {essay.essay_id}: ")
 

@@ -106,7 +106,10 @@ def run_cv(essay_set: EssaySet, embeddings: EmbeddingTable, cfg: TrainConfig,
            k: int, seed: int, rounds_limit: int | None = None) -> CvReport:
     """Cross-validate: per round, build vocabulary from the training folds,
     train with validation-based selection, and score the held-out test folds
-    on denormalized predictions."""
+    on denormalized predictions.  ``rounds_limit`` runs only the first
+    rounds; below 1 it raises :class:`UsageError`."""
+    if rounds_limit is not None and rounds_limit < 1:
+        raise UsageError("rounds_limit must be >= 1")
     plan = plan_folds(essay_set, k, seed)
     score_range = essay_set.score_range
     rounds = round_layout(k)
@@ -173,7 +176,7 @@ def report_to_json(report: CvReport) -> str:
 
 
 def report_to_csv(report: CvReport) -> str:
-    lines = ["fold,qwk"]
+    lines = ["round,qwk"]
     for r in report.rounds:
         lines.append(f"{r.round_index},{r.qwk:.6f}")
     return "\n".join(lines) + "\n"

@@ -8,11 +8,11 @@ alone reads the cache :func:`forward_batch` returns.
 
 The parameters are one ordered ``name -> ndarray`` map
 (:class:`ModelParameters`), the same form the artifact, the gradients and
-RMSProp use.  The batched internals read their arrays from that map by name;
-the single-essay functions (:func:`conv1d_forward`, :func:`maxpool`,
-:func:`gru_step`, :func:`bigru_forward`) are thin views over them for the
-oracle tests, taking plain arrays or a gate-name mapping for one GRU
-direction.
+RMSProp use.  Only :func:`forward_batch` and :func:`backward_batch` read it
+by name: the layers below take plain arrays and, per GRU direction, a
+gate-name map.  The single-essay functions (:func:`conv1d_forward`,
+:func:`maxpool`, :func:`gru_step`, :func:`bigru_forward`) are thin views
+over those layers for the oracle tests, taking the same forms.
 
 All operations are pure given parameters and an explicit generator, so an
 unchanging :class:`ModelParameters` can serve any number of concurrent
@@ -133,10 +133,8 @@ def expected_shapes(cfg: TrainConfig, vocab_size: int) -> dict[str, tuple[int, .
         shapes[f"conv{k}.weights"] = (f, k * d)
         shapes[f"conv{k}.bias"] = (f,)
         for direction in ("fw", "bw"):
-            for gate in ("w_z", "w_r", "w_h"):
-                shapes[f"gru{k}.{direction}.{gate}"] = (h, f)
-            for gate in ("u_z", "u_r", "u_h"):
-                shapes[f"gru{k}.{direction}.{gate}"] = (h, h)
+            for gate in _GATE_NAMES:
+                shapes[f"gru{k}.{direction}.{gate}"] = (h, f if gate[0] == "w" else h)
     shapes["dense.weights"] = (summary_width(cfg),)
     shapes["dense.bias"] = (1,)
     return shapes
@@ -244,27 +242,15 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray,
 
 
 def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
-                  bw: Mapping[str, np.ndarray], mask: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Run both scan directions over a (steps, features) sequence.
+                  bw: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Run both directions, gate-name maps as for :func:`gru_step`, over a
+    (steps, features) sequence whose every step is real.
 
-    ``fw`` and ``bw`` are gate-name mappings as for :func:`gru_step`.
     Returns per-step outputs (steps, 2H) as [forward state, backward state]
-    and the summary vector [forward state at the last real step, backward
-    state at the first real step].  ``mask`` marks the real steps, which
-    come first (else :class:`UsageError`); padded steps carry the previous
-    hidden state in both directions.  Initial states are zero.
+    and the summary vector [forward state at the last step, backward state
+    at the first].  Initial states are zero.
     """
-    seq = np.asarray(seq)
-    steps = seq.shape[0]
-    if mask is None:
-        mask = np.ones(steps, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (steps,):
-        raise UsageError("mask length must equal sequence length")
-    gates = {f"{direction}.{name}": p[name]
-             for direction, p in (("fw", fw), ("bw", bw)) for name in _GATE_NAMES}
-    summary, cache = _bigru_batch(seq[None], _prefix_lengths(mask[None]), gates, "")
+    summary, cache = _bigru_batch(np.asarray(seq)[None], np.array([len(seq)]), fw, bw)
     outputs = np.concatenate([cache["fw"]["h"][1:, 0], cache["bw"]["h"][1:, 0][::-1]],
                              axis=1)
     return outputs, summary[0]
@@ -523,13 +509,13 @@ def _maxpool_batch_backward(d_pooled: np.ndarray, offset: np.ndarray,
     return d_fm[:, :width]
 
 
-def _fused_gates(gates: Mapping[str, np.ndarray], prefix: str = ""):
-    """One direction's matrices in the layout :func:`_gru_cell` reads.
+def _fused_gates(gates: Mapping[str, np.ndarray]):
+    """One direction's gate-name map in the layout :func:`_gru_cell` reads.
 
     Returns ``W_x = [w_z; w_r; w_h]ᵀ`` (I, 3H), ``U_zr = [u_z; u_r]ᵀ`` (H, 2H)
-    and ``u_h``, reading ``gates[prefix + name]`` for each gate name.
+    and ``u_h``.
     """
-    w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
+    w_z, w_r, w_h, u_z, u_r, u_h = (gates[name] for name in _GATE_NAMES)
     return np.concatenate([w_z, w_r, w_h]).T, np.concatenate([u_z, u_r]).T, u_h
 
 
@@ -564,15 +550,14 @@ def _prefix_lengths(mask: np.ndarray) -> np.ndarray:
 
 
 def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray],
-              prefix: str = "", keep: bool = True) -> dict:
-    """Scan one direction over time-major input (T, B, I).
+              keep: bool = True) -> dict:
+    """Scan one direction, a gate-name map as for :func:`gru_step`, over
+    time-major input (T, B, I).
 
-    The direction's matrices are ``gates[prefix + name]`` for each gate name:
-    a gate-name mapping with the empty prefix, or the model's tensor map with
-    a prefix such as ``"gru2.fw."``.  Returns stacked states and gate values;
-    ``h`` has T+1 entries with the zero initial state first.  With ``keep``
-    false (inference) the scan updates one running state in place and
-    returns only ``h``, holding the final state as its single entry.
+    Returns stacked states and gate values; ``h`` has T+1 entries with the
+    zero initial state first.  With ``keep`` false (inference) the scan
+    updates one running state in place and returns only ``h``, holding the
+    final state as its single entry.
 
     The input projections are one matmul per :func:`_row_blocks` block of
     steps, into the (T, B, 3H) buffer that ``keep`` returns, or else into one
@@ -584,7 +569,7 @@ def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray]
     unspecified.  The projection covers every row, padded ones too: with
     fewer rows the BLAS may pick another kernel, which rounds differently.
     """
-    w_x, u_zr, u_h = _fused_gates(gates, prefix)
+    w_x, u_zr, u_h = _fused_gates(gates)
     steps, batch, _ = x.shape
     hidden = u_h.shape[0]
     blocks = _row_blocks(steps, batch * 3 * hidden * x.itemsize)
@@ -610,20 +595,19 @@ def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray]
 
 
 def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
-                       d_final: np.ndarray, prefix: str = ""):
+                       d_final: np.ndarray):
     """Reverse-mode pass through one scan direction.
 
-    ``gates`` and ``prefix`` name the direction's matrices as in
-    :func:`_gru_scan`.  ``d_final`` is the gradient on the state after the
-    last step, the only state the channel summary reads.  Returns the input
-    gradient (T, B, I) and the gate gradients under the same
-    ``prefix + name`` keys, in gate order.  Step ``t`` works on the
-    first ``active[t]`` rows, as the forward scan did; the other rows carry
-    their gradient.  The carried state gradient is flushed to zero below
-    ``finfo.tiny / finfo.eps`` after every step (see the note by
+    ``gates`` is the gate-name map given to :func:`_gru_scan`.  ``d_final``
+    is the gradient on the state after the last step, the only state the
+    channel summary reads.  Returns the input gradient (T, B, I) and the
+    gate gradients keyed by gate name, in gate order.  Step ``t`` works on
+    the first ``active[t]`` rows, as the forward scan did; the other rows
+    carry their gradient.  The carried state gradient is flushed to zero
+    below ``finfo.tiny / finfo.eps`` after every step (see the note by
     ``_GATE_NAMES``).
     """
-    w_z, w_r, w_h, u_z, u_r, u_h = (gates[prefix + name] for name in _GATE_NAMES)
+    w_z, w_r, w_h, u_z, u_r, u_h = (gates[name] for name in _GATE_NAMES)
     x, active = cache["x"], cache["active"].tolist()
     hs, zs, rs, cs = cache["h"], cache["z"], cache["r"], cache["c"]
     steps = x.shape[0]
@@ -661,8 +645,7 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
         dh_prev += da_z @ u_z
         dh_prev[np.abs(dh_prev) < flush] = 0.0
         dh[:a] = dh_prev
-    grads = (g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h)
-    return dx, {prefix + name: g for name, g in zip(_GATE_NAMES, grads)}
+    return dx, dict(zip(_GATE_NAMES, (g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h)))
 
 
 #: Fewest batch rows × hidden units at which a BiGRU's two directions run on
@@ -710,46 +693,45 @@ def _both_directions(first, second, worker: ThreadPoolExecutor | None):
     return result, future.result()
 
 
-def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray,
-                 tensors: Mapping[str, np.ndarray], prefix: str, keep: bool = True,
+def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray, fw: Mapping[str, np.ndarray],
+                 bw: Mapping[str, np.ndarray], keep: bool = True,
                  worker: ThreadPoolExecutor | None = None):
-    """Both directions over batch-major pooled features (B, T, F), rows
-    sorted by descending ``lengths``.
+    """Both directions, gate-name maps as for :func:`gru_step`, over
+    batch-major pooled features (B, T, F), rows sorted by descending
+    ``lengths``.
 
-    The directions' matrices are ``tensors[prefix + "fw." + gate]`` and
-    ``tensors[prefix + "bw." + gate]``.  Returns the channel summary (B, 2H),
-    each row's forward state after its last real step beside its backward
-    state after its first, and the two scan caches, or None when ``keep``
-    is false (see :func:`_gru_scan`).  Given a ``worker``, the backward
-    direction runs on it.
+    Returns the channel summary (B, 2H), each row's forward state after its
+    last real step beside its backward state after its first, and the two
+    scan caches, or None when ``keep`` is false (see :func:`_gru_scan`).
+    Given a ``worker``, the backward direction runs on it.
     """
     x = np.ascontiguousarray(pooled.transpose(1, 0, 2))
     active = (lengths > np.arange(x.shape[0])[:, None]).sum(axis=1)
-    fw, bw = _both_directions(
-        lambda: _gru_scan(x, active, tensors, prefix + "fw.", keep),
-        lambda: _gru_scan(x[::-1], active[::-1], tensors, prefix + "bw.", keep),
-        worker)
-    summary = np.concatenate([fw["h"][-1], bw["h"][-1]], axis=1)
-    return summary, ({"fw": fw, "bw": bw} if keep else None)
+    fw_cache, bw_cache = _both_directions(lambda: _gru_scan(x, active, fw, keep),
+                                          lambda: _gru_scan(x[::-1], active[::-1], bw, keep),
+                                          worker)
+    summary = np.concatenate([fw_cache["h"][-1], bw_cache["h"][-1]], axis=1)
+    return summary, ({"fw": fw_cache, "bw": bw_cache} if keep else None)
 
 
-def _bigru_batch_backward(cache: dict, tensors: Mapping[str, np.ndarray], prefix: str,
-                          d_summary: np.ndarray, worker: ThreadPoolExecutor | None
-                          ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradient of the channel summary w.r.t. pooled inputs, plus the gate
-    gradients of both directions keyed by their tensor names (forward
-    direction first).  The summary's two halves are the gradients on the
-    final states of the forward and backward scans.  Given a ``worker``,
-    the backward direction runs on it."""
+def _bigru_batch_backward(cache: dict, fw: Mapping[str, np.ndarray],
+                          bw: Mapping[str, np.ndarray], d_summary: np.ndarray,
+                          worker: ThreadPoolExecutor | None):
+    """Gradient of the channel summary w.r.t. pooled inputs, plus each
+    direction's gate gradients by gate name, forward first.  The summary's
+    two halves are the gradients on the final states of the forward and
+    backward scans.  Given a ``worker``, the backward direction runs on it."""
     hidden = d_summary.shape[1] // 2
-    fw, bw = cache["fw"], cache["bw"]
     (dx_fw, g_fw), (dx_bw, g_bw) = _both_directions(
-        lambda: _gru_scan_backward(fw, tensors, d_summary[:, :hidden], prefix + "fw."),
-        lambda: _gru_scan_backward(bw, tensors, d_summary[:, hidden:], prefix + "bw."),
+        lambda: _gru_scan_backward(cache["fw"], fw, d_summary[:, :hidden]),
+        lambda: _gru_scan_backward(cache["bw"], bw, d_summary[:, hidden:]),
         worker)
-    g_fw.update(g_bw)
-    d_pooled = (dx_fw + dx_bw[::-1]).transpose(1, 0, 2)
-    return d_pooled, g_fw
+    return (dx_fw + dx_bw[::-1]).transpose(1, 0, 2), (g_fw, g_bw)
+
+
+def _window_gates(tensors: Mapping[str, np.ndarray], k: int):
+    """Window ``k``'s forward and backward gate-name maps."""
+    return [{g: tensors[f"gru{k}.{d}.{g}"] for g in _GATE_NAMES} for d in ("fw", "bw")]
 
 
 def forward_batch(indices: np.ndarray, mask: np.ndarray,
@@ -782,8 +764,7 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
         raise UsageError(f"batch row {int(np.argmin(lengths))} has no real token")
     order = np.argsort(-lengths, kind="stable")
     indices, lengths = indices[order], lengths[order]
-    channels = []
-    summaries = []
+    channels, summaries = [], []
     with _batch_worker(len(indices), cfg.hidden_units) as worker:
         pres = _conv_pre_batch(tensors["embedding"], indices,
                                [tensors[f"conv{k}.weights"] for k in cfg.windows],
@@ -797,13 +778,11 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
                 np.maximum(pre, 0, out=pre), np.maximum(lengths - k + 1, 0),
                 cfg.pool_size, cfg.pool_stride, keep)
             del pre  # dropped once pooled, in both modes
-            if keep:
-                channels.append({"offset": offset, "live": pooled > 0})
-            summary, bicache = _bigru_batch(pooled, pooled_lengths, tensors, f"gru{k}.",
+            summary, bicache = _bigru_batch(pooled, pooled_lengths, *_window_gates(tensors, k),
                                             keep, worker)
             summaries.append(summary)
             if keep:
-                channels[-1]["bigru"] = bicache
+                channels.append({"offset": offset, "live": pooled > 0, "bigru": bicache})
     concat = np.concatenate(summaries, axis=1)
     if keep:
         drop_mask = drop_mask[order]
@@ -861,8 +840,9 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
         for ci, k in enumerate(cfg.windows):
             # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
             ch_cache, channels[ci] = channels[ci], None
-            d_pooled, g = _bigru_batch_backward(ch_cache.pop("bigru"), tensors, f"gru{k}.",
-                                                d_concat[:, ci * h2:(ci + 1) * h2], worker)
+            d_pooled, g = _bigru_batch_backward(
+                ch_cache.pop("bigru"), *_window_gates(tensors, k),
+                d_concat[:, ci * h2:(ci + 1) * h2], worker)
             gru_grads.append(g)
             # The ReLU's mask: at a window's argmax the pre-activation is
             # positive exactly where the pooled value is (NaN is neither).
@@ -876,7 +856,8 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
             [tensors[f"conv{k}.weights"] for k in cfg.windows],
             g_embedding if cfg.trainable_embeddings else None, worker)
     for k, g, (g_w, g_b) in zip(cfg.windows, gru_grads, conv_grads):
-        grads.update(g)
+        grads.update((f"gru{k}.{d}.{gate}", v) for d, g_d in zip(("fw", "bw"), g)
+                     for gate, v in g_d.items())
         grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = g_w, g_b
     grads["embedding"] = g_embedding
     return grads

@@ -157,14 +157,18 @@ def predict_normalized(params: ModelParameters, vocab: Vocabulary,
     Sequences are scored longest first (a stable sort) in batches of
     ``batch_size`` (None: the config's; below 1: :class:`UsageError`), so
     each batch pads to lengths close to its own; an essay scores the same in
-    any batch up to round-off.
+    any batch up to round-off.  An empty sequence raises
+    :class:`UsageError` naming its index in ``token_sequences``.
     """
     size = params.config.batch_size if batch_size is None else batch_size
     if size < 1:
         raise UsageError("batch_size must be >= 1")
     rows = [vocab.encode(tokens) for tokens in token_sequences]
+    lengths = [len(row) for row in rows]
+    if 0 in lengths:
+        raise UsageError(f"token sequence {lengths.index(0)} has no real token")
     predictions = np.empty(len(rows), dtype=np.float64)
-    order = np.argsort([-len(row) for row in rows], kind="stable")
+    order = np.argsort([-n for n in lengths], kind="stable")
     for start in range(0, len(rows), size):
         chosen = order[start:start + size]
         indices, mask = pad_rows([rows[i] for i in chosen])

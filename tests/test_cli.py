@@ -576,7 +576,7 @@ class TestCv:
                      "--k", "2", "--seed", "3", "--out", str(out),
                      "--config", str(data_files["config"])]) == 0
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
-        assert csv_lines[0] == "fold,qwk"
+        assert csv_lines[0] == "round,qwk"
         assert len(csv_lines) == 3
         import json
         payload = json.loads((tmp_path / "report.json").read_text())

@@ -356,6 +356,11 @@ class TestEssaySetInvariants:
             EssaySet(essays, ScoreRange(1, 0, 2))
         assert str(err.value) == f"essay 8: score {raw_score} outside range 0-2"
 
+    def test_essay_without_tokens_names_the_essay(self):
+        essays = (Essay(3, ("a",), 1), Essay(4, (), 1))
+        with pytest.raises(UsageError, match="^essay 4: no tokens$"):
+            EssaySet(essays, ScoreRange(1, 0, 2))
+
     def test_vocabulary_rejects_reserved(self):
         with pytest.raises(UsageError):
             Vocabulary([PAD_TOKEN])

@@ -131,6 +131,13 @@ class TestRunCv:
                         rounds_limit=1)
         assert len(report.rounds) == 1
 
+    @pytest.mark.parametrize("rounds_limit", [0, -1])
+    def test_rounds_limit_below_one_rejected(self, rounds_limit, monkeypatch):
+        monkeypatch.setattr(harness, "train", None)  # refused before any training
+        with pytest.raises(UsageError, match="^rounds_limit must be >= 1$"):
+            run_cv(make_corpus(64, seed=5), make_table(12, seed=9), cv_config(),
+                   k=10, seed=7, rounds_limit=rounds_limit)
+
     def test_nan_prediction_names_the_essay(self, monkeypatch):
         corpus = make_corpus(64, seed=5)
         table = make_table(12, seed=9)
@@ -154,5 +161,5 @@ class TestRunCv:
         assert payload["config"]["windows"] == [2, 3]
         csv = report_to_csv(report)
         lines = csv.strip().splitlines()
-        assert lines[0] == "fold,qwk"
+        assert lines[0] == "round,qwk"
         assert len(lines) == 3

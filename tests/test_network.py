@@ -309,26 +309,6 @@ class TestBigru:
         np.testing.assert_allclose(outputs, [[h1, b1], [h2, b2]], rtol=1e-12)
         np.testing.assert_allclose(summary, [h2, b1], rtol=1e-12)
 
-    def test_masked_steps_carry_state(self):
-        rng = np.random.default_rng(6)
-        fw, bw = random_direction(rng, 3, 2), random_direction(rng, 3, 2)
-        seq = rng.normal(size=(5, 2))
-        mask = np.array([True, True, True, False, False])
-        _, summary = bigru_forward(seq, fw, bw, mask)
-        _, summary_short = bigru_forward(seq[:3].copy(), fw, bw)
-        np.testing.assert_allclose(summary, summary_short, rtol=1e-12)
-
-    def test_mask_length_validated(self):
-        with pytest.raises(UsageError):
-            bigru_forward(np.ones((3, 1)), scalar_direction(), scalar_direction(),
-                          np.array([True, False]))
-
-    @pytest.mark.parametrize("mask", [[True, False, True], [False, True, True]])
-    def test_mask_with_a_hole_rejected(self, mask):
-        with pytest.raises(UsageError, match="padding"):
-            bigru_forward(np.ones((3, 1)), scalar_direction(), scalar_direction(),
-                          np.array(mask))
-
 
 class TestDropout:
     def test_zero_rate_identity(self):
@@ -406,6 +386,12 @@ class TestForward:
         _, _, params = tiny_model()
         with pytest.raises(UsageError):
             forward([], params)
+
+    @pytest.mark.parametrize("essay", [[[2, 3], [4, 5]], 2], ids=["2-d", "0-d"])
+    def test_indices_not_1d_rejected(self, essay):
+        _, _, params = tiny_model()
+        with pytest.raises(UsageError, match="^essay_indices must be a 1-d index sequence$"):
+            forward(essay, params)
 
     @pytest.mark.parametrize("essay", [[PAD_INDEX], [PAD_INDEX, PAD_INDEX]])
     def test_essay_of_padding_only_rejected(self, essay):
@@ -1002,10 +988,15 @@ class TestTwoThreadDirections:
     def test_threaded_predictions_loss_and_gradients_are_bitwise_serial(
             self, dtype, windows, pooling, monkeypatch):
         params, batch = self.model_and_batch(dtype, windows, pooling)
+        forward_gates = {id(params.tensors[f"gru{k}.fw.w_z"]) for k in windows}
         threads = {}
-        for name in ("_gru_scan", "_gru_scan_backward"):
-            def record(*args, _scan=getattr(network, name), **kwargs):
-                threads.setdefault(args[3][-3:], set()).add(threading.get_ident())
+        # A scan's gate map is its third positional argument, a reverse-mode
+        # scan's its second; a forward direction's map holds the model's own
+        # ``gru{k}.fw`` arrays.
+        for name, i in (("_gru_scan", 2), ("_gru_scan_backward", 1)):
+            def record(*args, _scan=getattr(network, name), _i=i, **kwargs):
+                direction = "fw" if id(args[_i]["w_z"]) in forward_gates else "bw"
+                threads.setdefault(direction, set()).add(threading.get_ident())
                 return _scan(*args, **kwargs)
             monkeypatch.setattr(network, name, record)
 
@@ -1019,8 +1010,8 @@ class TestTwoThreadDirections:
         yhat, loss, grads, serial = run(False)
         t_yhat, t_loss, t_grads, threaded = run(True)
         caller = threading.get_ident()
-        assert serial == {"fw.": {caller}, "bw.": {caller}}
-        assert threaded["fw."] == {caller} and caller not in threaded["bw."]
+        assert serial == {"fw": {caller}, "bw": {caller}}
+        assert threaded["fw"] == {caller} and caller not in threaded["bw"]
         np.testing.assert_array_equal(self.bits(t_yhat), self.bits(yhat))
         assert self.bits(t_loss) == self.bits(loss)
         assert list(t_grads) == list(grads)
@@ -1107,11 +1098,11 @@ class TestTwoThreadDirections:
         scan = network._gru_scan
         workers = []
 
-        def failing(x, active, gates, prefix="", keep=True):
-            if prefix.endswith("bw."):
+        def failing(x, active, gates, keep=True):
+            if threading.current_thread() is not threading.main_thread():
                 workers.append(threading.current_thread())
                 raise WorkerFailure(threading.current_thread().name)
-            return scan(x, active, gates, prefix, keep)
+            return scan(x, active, gates, keep)
 
         monkeypatch.setattr(network, "_gru_scan", failing)
         self.force(monkeypatch, True)
@@ -1131,14 +1122,14 @@ class TestTwoThreadDirections:
         scan = network._gru_scan
         workers = []
 
-        def slow_worker(x, active, gates, prefix="", keep=True):
-            if prefix.endswith("fw."):
+        def slow_worker(x, active, gates, keep=True):
+            if threading.current_thread() is threading.main_thread():
                 assert started.wait(timeout=60)
                 raise CallerFailure
             workers.append(threading.current_thread())
             started.set()
             time.sleep(0.2)
-            result = scan(x, active, gates, prefix, keep)
+            result = scan(x, active, gates, keep)
             finished.set()
             return result
 

@@ -325,10 +325,12 @@ class TestPredictNormalized:
         with pytest.raises(UsageError, match="batch_size"):
             predict_normalized(params, vocab, self.essays(vocab, (4, 7, 2)), batch_size)
 
-    @pytest.mark.parametrize("essays", [[[]], [["alpha"], []], [[], ["alpha", "bravo"]]])
-    def test_essay_without_tokens_rejected(self, essays):
+    @pytest.mark.parametrize("essays, index", [([[]], 0), ([["alpha"], []], 1),
+                                               ([[], ["alpha", "bravo"]], 0)])
+    def test_essay_without_tokens_rejected(self, essays, index):
+        """The index is the caller's, not a row of the longest-first batch."""
         _, vocab, params = tiny_model()
-        with pytest.raises(UsageError, match="has no real token"):
+        with pytest.raises(UsageError, match=f"^token sequence {index} has no real token$"):
             predict_normalized(params, vocab, essays)
 
     def test_no_essays_no_scores(self):
