@@ -191,8 +191,11 @@ class Vocabulary:
         return self._index_to_token[index]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
+        """Rows of ``tokens``.  An unknown token reads UNK, and so does the
+        PAD token (row 0, the only false index): an encoded essay never
+        holds padding."""
         get = self._token_to_index.get
-        return [get(t, UNK_INDEX) for t in tokens]
+        return [get(t) or UNK_INDEX for t in tokens]
 
     def corpus_tokens(self) -> list[str]:
         """Tokens in index order, excluding PAD and UNK."""

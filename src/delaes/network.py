@@ -56,6 +56,8 @@ from .embedding import EmbeddingMatrix
 from .errors import DomainError, UsageError
 
 _GATE_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h")
+# _gate_key(k, direction, gate): the tensor name of window k's fw or bw gate.
+_gate_key = "gru{}.{}.{}".format
 
 # Backprop through time over hundreds of steps shrinks the carried state
 # gradient by a gate factor below one per step (the vanishing gradient), and
@@ -132,9 +134,8 @@ def expected_shapes(cfg: TrainConfig, vocab_size: int) -> dict[str, tuple[int, .
     for k in cfg.windows:
         shapes[f"conv{k}.weights"] = (f, k * d)
         shapes[f"conv{k}.bias"] = (f,)
-        for direction in ("fw", "bw"):
-            for gate in _GATE_NAMES:
-                shapes[f"gru{k}.{direction}.{gate}"] = (h, f if gate[0] == "w" else h)
+        for direction, gate in itertools.product(("fw", "bw"), _GATE_NAMES):
+            shapes[_gate_key(k, direction, gate)] = (h, f if gate[0] == "w" else h)
     shapes["dense.weights"] = (summary_width(cfg),)
     shapes["dense.bias"] = (1,)
     return shapes
@@ -615,8 +616,7 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     flush = info.tiny / info.eps
     dh = d_final.astype(x.dtype).copy()
     dx = np.zeros_like(x)
-    g_w_z, g_w_r, g_w_h = (np.zeros_like(w) for w in (w_z, w_r, w_h))
-    g_u_z, g_u_r, g_u_h = (np.zeros_like(u) for u in (u_z, u_r, u_h))
+    g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h = (np.zeros_like(gates[n]) for n in _GATE_NAMES)
     for t in range(steps - 1, -1, -1):
         a = active[t]
         if not a:
@@ -731,7 +731,7 @@ def _bigru_batch_backward(cache: dict, fw: Mapping[str, np.ndarray],
 
 def _window_gates(tensors: Mapping[str, np.ndarray], k: int):
     """Window ``k``'s forward and backward gate-name maps."""
-    return [{g: tensors[f"gru{k}.{d}.{g}"] for g in _GATE_NAMES} for d in ("fw", "bw")]
+    return [{g: tensors[_gate_key(k, d, g)] for g in _GATE_NAMES} for d in ("fw", "bw")]
 
 
 def forward_batch(indices: np.ndarray, mask: np.ndarray,
@@ -856,8 +856,8 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
             [tensors[f"conv{k}.weights"] for k in cfg.windows],
             g_embedding if cfg.trainable_embeddings else None, worker)
     for k, g, (g_w, g_b) in zip(cfg.windows, gru_grads, conv_grads):
-        grads.update((f"gru{k}.{d}.{gate}", v) for d, g_d in zip(("fw", "bw"), g)
-                     for gate, v in g_d.items())
+        grads.update((_gate_key(k, d, gate), g_d[gate]) for d, g_d in zip(("fw", "bw"), g)
+                     for gate in _GATE_NAMES)
         grads[f"conv{k}.weights"], grads[f"conv{k}.bias"] = g_w, g_b
     grads["embedding"] = g_embedding
     return grads

@@ -124,6 +124,11 @@ class TestVocabulary:
         assert vocab.index(UNK_TOKEN) == UNK_INDEX
         assert vocab.index("never-seen") == UNK_INDEX
 
+    def test_encoded_essay_never_holds_padding(self):
+        vocab = build_vocabulary(self._sets(["x"]))
+        got = vocab.encode(["x", PAD_TOKEN, UNK_TOKEN, "never-seen"])
+        assert got == [2, UNK_INDEX, UNK_INDEX, UNK_INDEX]
+
     def test_min_count_validation(self):
         with pytest.raises(UsageError):
             build_vocabulary(self._sets(["a"]), min_count=0)

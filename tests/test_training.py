@@ -333,6 +333,13 @@ class TestPredictNormalized:
         with pytest.raises(UsageError, match=f"^token sequence {index} has no real token$"):
             predict_normalized(params, vocab, essays)
 
+    def test_pad_token_scores_as_an_unknown_one(self):
+        """The literal PAD token is text: it encodes as UNK, never as padding."""
+        _, vocab, params = tiny_model()
+        pad, unknown = ([[t], ["alpha", t, "bravo"]] for t in ("<pad>", "never-seen"))
+        np.testing.assert_array_equal(predict_normalized(params, vocab, pad),
+                                      predict_normalized(params, vocab, unknown))
+
     def test_no_essays_no_scores(self):
         _, vocab, params = tiny_model()
         got = predict_normalized(params, vocab, [])
