@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .artifact import load_model, save_model
-from .config import TrainConfig, apply_config_entries, parse_config_file
+from .config import TrainConfig, parse_range, read_config
 from .corpus import (
     ENCODINGS,
     EssaySet,
     ScoreRange,
     build_vocabulary,
+    check_score,
     default_range,
     load_dataset,
     load_unscored,
@@ -38,37 +38,17 @@ from .training import (
     train,
 )
 
-_RANGE_KEY = re.compile(r"range(\d+)$")
-
 
 def _range_arg(value: str) -> ScoreRange:
     try:
-        low, high = value.split(":")
-        return ScoreRange(0, int(low), int(high))
-    except (ValueError, DelaesError):
-        raise argparse.ArgumentTypeError(
-            f"expected MIN:MAX with MIN < MAX, got {value!r}") from None
+        return parse_range(value)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_config(args) -> tuple[TrainConfig, dict[int, ScoreRange]]:
-    cfg = TrainConfig()
-    ranges: dict[int, ScoreRange] = {}
-    if getattr(args, "config", None):
-        entries = parse_config_file(args.config)
-        plain = {}
-        for key, value in entries.items():
-            match = _RANGE_KEY.match(key)
-            if match:
-                try:
-                    parsed = _range_arg(value)
-                except argparse.ArgumentTypeError as exc:
-                    raise FormatError(f"{args.config}: config key {key!r}: {exc}") from None
-                prompt = int(match.group(1))
-                ranges[prompt] = dataclasses.replace(parsed, prompt_id=prompt)
-            else:
-                plain[key] = value
-        cfg = apply_config_entries(cfg, plain)
-    if getattr(args, "seed", None) is not None:
+    cfg, ranges = read_config(args.config) if args.config else (TrainConfig(), {})
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg, ranges
 
@@ -152,6 +132,9 @@ def cmd_eval(args) -> int:
     for essay_id in gold:
         if essay_id not in predictions:
             raise UsageError(f"essay id {essay_id} missing from prediction file")
+    for path, scores in ((args.pred, predictions), (args.gold, gold)):
+        for essay_id, score in scores.items():
+            check_score(score, args.range, f"{path}: essay {essay_id}: ")
     actual = [gold[essay_id] for essay_id in predictions]
     value = qwk(actual, list(predictions.values()), args.range)
     print(f"{value:.4f}")

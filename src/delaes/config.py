@@ -1,13 +1,17 @@
-"""Training configuration and the flat key=value config file format."""
+"""Training configuration and its one reader of the flat key=value config file."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import re
 import typing
 from dataclasses import dataclass
 
-from .corpus import text_lines
-from .errors import FormatError, UsageError
+from .corpus import ScoreRange, text_lines
+from .errors import DelaesError, FormatError, UsageError
+
+_RANGE_KEY = re.compile(r"range(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,8 @@ class TrainConfig:
     trainable_embeddings: bool = True
 
     def __post_init__(self):
+        for key, kind in _field_types().items():
+            _check_type(key, kind, getattr(self, key))
         if not self.windows or any(k < 1 for k in self.windows):
             raise UsageError("windows must be a non-empty tuple of positive sizes")
         # Each window names its own tensors, so a repeated window would share them.
@@ -68,94 +74,93 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """Inverse of :meth:`to_dict`; unknown keys and values not of their
-        field's JSON type raise :class:`FormatError`.  A ``summary_mode`` of
-        ``"last"``, the only summary the network has, is dropped."""
+        """Inverse of :meth:`to_dict`; unknown keys and values the constructor
+        refuses raise :class:`FormatError`.  A ``summary_mode`` of ``"last"``,
+        the only summary the network has, is dropped."""
         if data.get("summary_mode") == "last":
             data = {key: value for key, value in data.items() if key != "summary_mode"}
-        types = _field_types()
-        unknown = sorted(set(data) - set(types))
+        unknown = sorted(set(data) - set(_field_types()))
         if unknown:
             raise FormatError(f"unknown config key(s) {unknown}")
-        return cls(**{key: _from_json(key, types[key], value)
-                      for key, value in data.items()})
+        if isinstance(data.get("windows"), list):
+            data = {**data, "windows": tuple(data["windows"])}
+        try:
+            return cls(**data)
+        except UsageError as exc:
+            raise FormatError(str(exc)) from None
 
 
+@functools.cache
 def _field_types() -> dict:
-    """Each field's type: the one table that the config-file parser converts
-    to and :meth:`TrainConfig.from_dict` checks against."""
+    """Each field's type: the one table that the constructor checks values
+    against and :func:`read_config` parses config-file values to."""
     return typing.get_type_hints(TrainConfig)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _from_json(key: str, kind, value):
-    """``value`` as field ``key`` of type ``kind`` takes it from
-    :meth:`TrainConfig.to_dict`'s JSON form: ints for int fields, ints or
-    floats for float fields."""
-    if kind == tuple[int, ...]:
-        ok = isinstance(value, list) and all(_is_int(k) for k in value)
-        value = tuple(value) if ok else value
-    elif kind == float | None:
-        ok = value is None or _is_int(value) or isinstance(value, float)
-    elif kind is float:
-        ok = _is_int(value) or isinstance(value, float)
-    elif kind is int:
-        ok = _is_int(value)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
+def _check_type(key: str, kind, value) -> None:
+    """Raise :class:`UsageError` unless ``value`` has field ``key``'s type
+    ``kind``; an int field takes no bool, a float field also an int."""
+    whole = isinstance(value, int) and not isinstance(value, bool)
+    number = whole or isinstance(value, float)
+    if not {int: whole, float: number, float | None: number or value is None,
+            bool: isinstance(value, bool),
+            tuple[int, ...]: isinstance(value, tuple) and all(
+                isinstance(k, int) and not isinstance(k, bool) for k in value)}[kind]:
         name = kind.__name__ if isinstance(kind, type) else kind
-        raise FormatError(f"config key {key!r}: {value!r} is not of type {name}")
-    return value
+        raise UsageError(f"config key {key!r}: {value!r} is not of type {name}")
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Read a flat key=value config file.
+def parse_range(text: str, prompt_id: int = 0) -> ScoreRange:
+    """``MIN:MAX`` as ``prompt_id``'s score range, or :class:`UsageError`."""
+    try:
+        low, high = text.split(":")
+        return ScoreRange(prompt_id, int(low), int(high))
+    except (ValueError, DelaesError):
+        raise UsageError(f"expected MIN:MAX with MIN < MAX, got {text!r}") from None
 
-    Blank lines and '#' comments are ignored.  Values stay raw strings; typed
-    interpretation happens in :func:`apply_config_entries`.
-    """
-    entries: dict[str, str] = {}
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
+
+
+def _parse_value(kind, text: str):
+    """``text`` as a value of field type ``kind``; ValueError if it does not parse."""
+    if kind == tuple[int, ...]:
+        return tuple(int(part) for part in text.split(","))
+    if kind == float | None:
+        return None if text.lower() in ("none", "") else float(text)
+    if kind is bool and text.lower() not in _BOOLEANS:
+        raise ValueError(f"cannot parse {text!r} as a boolean")
+    return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+
+
+def read_config(path) -> tuple[TrainConfig, dict[int, ScoreRange]]:
+    """The :class:`TrainConfig` that a flat ``key = value`` file sets over the
+    defaults, and the score range that each of its ``rangeN = MIN:MAX`` keys
+    sets for prompt N.  Blank lines and ``#`` comments are ignored.  Every
+    error names the file: a :class:`FormatError` for a line, key or value that
+    does not parse, a :class:`UsageError` for a broken TrainConfig rule."""
+    types = _field_types()
+    overrides: dict = {}
+    ranges: dict[int, ScoreRange] = {}
     for lineno, raw in text_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise FormatError(f"cannot parse {value!r} as a boolean")
-
-
-def apply_config_entries(cfg: TrainConfig, entries: dict[str, str]) -> TrainConfig:
-    """Return a copy of ``cfg`` with typed overrides applied."""
-    types = _field_types()
-    overrides = {}
-    for key, value in entries.items():
-        if key not in types:
-            raise FormatError(f"unknown config key {key!r}")
-        kind = types[key]
+        key, value = (part.strip() for part in line.split("=", 1))
+        match = _RANGE_KEY.match(key)
+        if not match and key not in types:
+            raise FormatError(f"{path}: unknown config key {key!r}")
         try:
-            if kind == tuple[int, ...]:
-                overrides[key] = tuple(int(part) for part in value.split(","))
-            elif kind == float | None:
-                overrides[key] = None if value.lower() in ("none", "") else float(value)
-            elif kind is bool:
-                overrides[key] = _parse_bool(value)
+            if match:
+                ranges[int(match[1])] = parse_range(value, int(match[1]))
             else:
-                overrides[key] = kind(value)
-        except ValueError as exc:
-            raise FormatError(f"config key {key!r}: {exc}") from None
-    return dataclasses.replace(cfg, **overrides)
+                overrides[key] = _parse_value(types[key], value)
+        except (ValueError, UsageError) as exc:
+            raise FormatError(f"{path}: config key {key!r}: {exc}") from None
+    try:
+        return TrainConfig(**overrides), ranges
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None

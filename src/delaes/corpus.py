@@ -57,6 +57,10 @@ class ScoreRange:
     max_score: int
 
     def __post_init__(self):
+        for name in ("prompt_id", "min_score", "max_score"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise UsageError(f"score range field {name!r}: {value!r} is not of type int")
         if self.min_score >= self.max_score:
             raise DomainError(
                 f"score range for prompt {self.prompt_id} must satisfy min < max, "
@@ -94,7 +98,7 @@ def default_range(prompt_id: int) -> ScoreRange:
         ) from None
 
 
-def _check_score(raw_score: int, score_range: ScoreRange, where: str = "") -> None:
+def check_score(raw_score: int, score_range: ScoreRange, where: str = "") -> None:
     """Raise :class:`ScoreRangeError`, its message prefixed by ``where``, for
     a raw score outside ``score_range``."""
     if not score_range.min_score <= raw_score <= score_range.max_score:
@@ -106,7 +110,7 @@ def _check_score(raw_score: int, score_range: ScoreRange, where: str = "") -> No
 
 def normalize_score(raw_score: int, score_range: ScoreRange) -> float:
     """Map an integer gold score linearly onto [0, 1]."""
-    _check_score(raw_score, score_range)
+    check_score(raw_score, score_range)
     return (raw_score - score_range.min_score) / score_range.span
 
 
@@ -149,8 +153,8 @@ class EssaySet:
             seen.add(essay.essay_id)
             if not essay.tokens:
                 raise UsageError(f"essay {essay.essay_id}: no tokens")
-            _check_score(essay.raw_score, self.score_range,
-                         f"essay {essay.essay_id}: ")
+            check_score(essay.raw_score, self.score_range,
+                        f"essay {essay.essay_id}: ")
 
     def __len__(self) -> int:
         return len(self.essays)
@@ -366,7 +370,7 @@ def load_dataset(path, prompt_id: int, score_range: ScoreRange,
     essays = []
     for essay_id, row in _prompt_rows(path, rows, prompt_id):
         raw_score = row.integer("domain1_score")
-        _check_score(raw_score, score_range, f"{row.where}: essay {essay_id}: ")
+        check_score(raw_score, score_range, f"{row.where}: essay {essay_id}: ")
         essays.append(Essay(essay_id, _essay_tokens(row, essay_id), raw_score))
     return EssaySet(tuple(essays), score_range)
 

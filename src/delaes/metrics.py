@@ -27,17 +27,23 @@ def weight_matrix(n_ratings: int) -> np.ndarray:
 
 def _checked_offsets(actual: Sequence[int], predicted: Sequence[int],
                      score_range: ScoreRange) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=np.int64)
-    p = np.asarray(predicted, dtype=np.int64)
+    a, p = np.asarray(actual), np.asarray(predicted)
     if a.shape != p.shape or a.ndim != 1:
         raise UsageError("actual and predicted must be 1-d sequences of equal length")
-    for name, values in (("actual", a), ("predicted", p)):
+    for name, ratings, values in (("actual", actual, a), ("predicted", predicted, p)):
+        if values.size and values.dtype.kind not in "iu":
+            # In a float array every rating is a float: the first is named.
+            at = next((i for i, r in enumerate(ratings)
+                       if np.asarray(r).dtype.kind not in "iu"), 0)
+            raise DomainError(f"{name} rating at position {at} is "
+                              f"{values.tolist()[at]!r}, not an integer")
         bad = np.flatnonzero((values < score_range.min_score)
                              | (values > score_range.max_score))
         if bad.size:
             raise DomainError(f"{name} rating at position {bad[0]} is {values[bad[0]]}, "
                               f"outside {score_range.min_score}-{score_range.max_score}")
-    return a - score_range.min_score, p - score_range.min_score
+    return (a.astype(np.int64, copy=False) - score_range.min_score,
+            p.astype(np.int64, copy=False) - score_range.min_score)
 
 
 def observed_matrix(actual, predicted, score_range: ScoreRange) -> np.ndarray:

@@ -4,8 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaes import FormatError, UsageError, forward, load_model, save_model
+from delaes import DomainError, FormatError, UsageError, forward, load_model, save_model
 from delaes.corpus import ScoreRange
 
 from synthdata import tiny_model
@@ -98,6 +99,26 @@ class TestRoundTrip:
         second = tmp_path / "again.bin"
         save_model(params, vocab, score_range, second)
         assert path.read_bytes() == second.read_bytes()
+
+
+_ANY_BOUND = st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.booleans(), st.none(),
+                       st.text(max_size=2), st.just(np.int64(1)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.tuples(*[st.integers(-3, 3)] * 3), st.tuples(*[_ANY_BOUND] * 3)))
+def test_accepted_score_range_survives_save_and_load(saved, tmp_path, fields):
+    """Whatever score range the constructor accepts, a saved model reads back
+    with it; everything else is refused before anything is saved."""
+    _, vocab, params, _ = saved
+    try:
+        score_range = ScoreRange(*fields)
+    except (UsageError, DomainError):
+        return
+    path = tmp_path / "range.bin"
+    save_model(params, vocab, score_range, path)
+    assert load_model(path).score_range == score_range
 
 
 class TestRejection:

@@ -114,7 +114,7 @@ class TestTrain:
         args = train_args(data_files, tmp_path / "m.bin")
         args[args.index("--config") + 1] = str(config)
         assert main(args) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e40"])
     def test_non_finite_embedding_names_the_line(self, data_files, tmp_path, capsys,
@@ -546,6 +546,16 @@ class TestEval:
         assert main(["eval", "--pred", str(pred), "--gold", str(gold),
                      "--range", "2:4"]) == 1
         assert "duplicate essay id 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spoiled", ["--pred", "--gold"])
+    def test_score_outside_range_names_file_and_essay(self, tmp_path, capsys, spoiled):
+        files = {"--pred": tmp_path / "pred.csv", "--gold": tmp_path / "gold.csv"}
+        for flag, path in files.items():
+            path.write_text("1,2\n" + ("7,9\n" if flag == spoiled else "7,3\n") + "3,4\n")
+        assert main(["eval", "--pred", str(files["--pred"]), "--gold",
+                     str(files["--gold"]), "--range", "2:4"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {files[spoiled]}: essay 7: score 9 outside range 2-4\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     @pytest.mark.parametrize("spoiled", ["--pred", "--gold"])

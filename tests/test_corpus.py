@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -82,6 +85,21 @@ class TestScoreScaling:
     def test_out_of_range_score(self):
         with pytest.raises(ScoreRangeError):
             normalize_score(5, ScoreRange(1, 2, 4))
+
+    @pytest.mark.parametrize("fields, message", [
+        ((1, 0, 3.0), "score range field 'max_score': 3.0 is not of type int"),
+        ((True, 0, 3), "score range field 'prompt_id': True is not of type int"),
+        ((1, 0.5, 3), "score range field 'min_score': 0.5 is not of type int"),
+        ((1, "0", 3), "score range field 'min_score': '0' is not of type int"),
+    ])
+    def test_score_range_fields_must_be_int(self, fields, message):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            ScoreRange(*fields)
+
+    def test_numpy_int_score_range_bound_rejected(self):
+        # json.dumps cannot write an np.int64, so save_model could not either.
+        with pytest.raises(UsageError, match="'prompt_id'"):
+            ScoreRange(np.int64(1), 0, 3)
 
     @given(st.sampled_from(list(DEFAULT_RANGES.values())), st.data())
     def test_round_trip_every_integer(self, score_range, data):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,36 @@ class TestObservedMatrix:
             for i, j in zip(a - 10, p - 10):
                 want[i, j] += 1
             np.testing.assert_array_equal(o, want)
+
+
+    @pytest.mark.parametrize("predicted, message", [
+        ([0.9, 1.9, 2.9, 3.0], "predicted rating at position 0 is 0.9, not an integer"),
+        ([0, 1, 2, float("nan")], "predicted rating at position 3 is nan, not an integer"),
+        ([0, 1, 2.5, 3], "predicted rating at position 2 is 2.5, not an integer"),
+        (np.array([0.0, 1.0, 2.0, 3.0]),
+         "predicted rating at position 0 is 0.0, not an integer"),
+        ([True, False, True, False], "predicted rating at position 0 is True, not an integer"),
+        ([0, 1, "2", 3], "predicted rating at position 2 is '2', not an integer"),
+        ([0, 1, None, 3], "predicted rating at position 2 is None, not an integer"),
+    ])
+    def test_non_integer_rating_cites_side_and_position(self, predicted, message):
+        """A rating is never truncated to an integer: 0.9 is not a 0."""
+        r = ScoreRange(1, 0, 3)
+        for args, side in (((predicted, [0, 1, 2, 3]), "actual"),
+                           (([0, 1, 2, 3], predicted), "predicted")):
+            want = message.replace("predicted", side)
+            with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+                observed_matrix(*args, r)
+            with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+                qwk(*args, r)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_any_integer_dtype_accepted(self, dtype):
+        r = ScoreRange(1, 2, 4)
+        a, p = [2, 3, 4, 4], [2, 4, 4, 3]
+        np.testing.assert_array_equal(
+            observed_matrix(np.array(a, dtype=dtype), np.array(p, dtype=dtype), r),
+            observed_matrix(a, p, r))
 
 
 class TestExpectedMatrix:
