@@ -1,10 +1,10 @@
 """Bit-exact binary persistence of trained models.
 
 Layout: the 8-byte magic ``DELAES01``, a length-prefixed JSON metadata block
-(config, vocabulary, score range, optional creation timestamp and essay
-encoding), then a count of named tensors, each as length-prefixed name, u32
-rank, u32 dims and raw little-endian float32 values.  Saving and reloading
-reproduces every tensor bit for bit.
+(config, vocabulary, score range and optional essay encoding), then a count
+of named tensors, each as length-prefixed name, u32 rank, u32 dims and raw
+little-endian float32 values.  Saving and reloading reproduces every tensor
+bit for bit.
 """
 from __future__ import annotations
 
@@ -25,28 +25,28 @@ MAGIC = b"DELAES01"
 
 @dataclass(frozen=True)
 class ModelArtifact:
+    """A saved model: one embedding row per vocabulary entry, and an essay
+    encoding that is an ``ENCODINGS`` key or None (else :class:`UsageError`)."""
+
     params: ModelParameters
     vocab: Vocabulary
     score_range: ScoreRange
-    created: str | None
-    encoding: str | None
+    encoding: str | None = None
+
+    def __post_init__(self):
+        if self.params.vocab_size != self.vocab.size:
+            raise UsageError(f"embedding has {self.params.vocab_size} rows, "
+                             f"vocabulary has {self.vocab.size} entries")
+        # A tuple test, so a JSON list or object is refused like any other value.
+        if self.encoding not in (None, *ENCODINGS):
+            raise UsageError(f"unsupported encoding {self.encoding!r} (use latin1 or utf8)")
 
 
 def save_model(params: ModelParameters, vocab: Vocabulary, score_range: ScoreRange,
-               path, created: str | None = None, encoding: str | None = None) -> None:
-    """Write a model artifact.
-
-    ``created``, a string, is recorded verbatim when given; it defaults to
-    None so that identical training runs produce byte-identical files.
-    ``encoding``, the :data:`~delaes.corpus.ENCODINGS` name (``latin1`` or
-    ``utf8``) the training essays were read with, is recorded only when
-    given.  Any other value of either raises :class:`UsageError` before the
-    file is opened.
-    """
-    if not isinstance(created, (str, type(None))):
-        raise UsageError(f"created must be a string or None, not {created!r}")
-    if encoding not in (None, *ENCODINGS):
-        raise UsageError(f"unsupported encoding {encoding!r} (use latin1 or utf8)")
+               path, encoding: str | None = None) -> None:
+    """Write a model artifact, recording ``encoding`` only when given; parts
+    that make no :class:`ModelArtifact` are refused before the file opens."""
+    ModelArtifact(params, vocab, score_range, encoding)
     meta = {
         "config": params.config.to_dict(),
         "vocabulary": vocab.corpus_tokens(),
@@ -55,7 +55,6 @@ def save_model(params: ModelParameters, vocab: Vocabulary, score_range: ScoreRan
             "min": score_range.min_score,
             "max": score_range.max_score,
         },
-        "created": created,
     }
     if encoding is not None:
         meta["encoding"] = encoding
@@ -104,7 +103,8 @@ def _field(meta, key: str, kind: type):
 
 def load_model(path) -> ModelArtifact:
     """Read an artifact, rejecting unknown magic, malformed metadata or tensor
-    names and shapes that do not match the recorded config and vocabulary."""
+    names and shapes that do not match the recorded config and vocabulary;
+    an unread key, such as an earlier version's ``created``, is ignored."""
     reader = _Reader(path)
     if reader.take(len(MAGIC)) != MAGIC:
         raise FormatError(f"{path}: not a DELAES01 artifact")
@@ -131,10 +131,7 @@ def load_model(path) -> ModelArtifact:
 
     try:
         cfg = TrainConfig.from_dict(_field(meta, "config", dict))
-        tokens = _field(meta, "vocabulary", list)
-        if not all(isinstance(token, str) for token in tokens):
-            raise FormatError("metadata field 'vocabulary' holds a non-string token")
-        vocab = Vocabulary(tokens)
+        vocab = Vocabulary(_field(meta, "vocabulary", list))
         bounds = _field(meta, "score_range", dict)
         score_range = ScoreRange(*(_field(bounds, key, int)
                                    for key in ("prompt_id", "min", "max")))
@@ -143,15 +140,7 @@ def load_model(path) -> ModelArtifact:
                 is not cfg.trainable_embeddings:
             raise FormatError("metadata field 'embedding_trainable' contradicts "
                               "config field 'trainable_embeddings'")
-        params = ModelParameters(cfg, tensors, vocab=vocab)
-        created = meta.get("created")
-        if not isinstance(created, (str, type(None))):
-            raise FormatError(f"metadata field 'created' is {created!r}, not a string or null")
-        # A tuple test, so a JSON list or object is refused like any other value.
-        encoding = meta.get("encoding")
-        if encoding not in (None, *ENCODINGS):
-            raise FormatError(f"metadata field 'encoding' is {encoding!r}, not latin1 or utf8")
+        return ModelArtifact(ModelParameters(cfg, tensors), vocab, score_range,
+                             meta.get("encoding"))
     except DelaesError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    return ModelArtifact(params=params, vocab=vocab, score_range=score_range,
-                         created=created, encoding=encoding)

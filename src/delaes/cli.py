@@ -1,8 +1,9 @@
 """Command-line entry points: train, predict, eval, cv.
 
-Exit codes: 0 on success, 1 for data or runtime errors, 2 for usage errors.
-Configuration precedence is built-in defaults, then the --config file, then
-explicit flags.
+Exit codes: 0 on success, 1 for an error in data, values or files, and 2 when
+argparse refuses the command line: a missing or unknown flag, or a bad
+--encoding or --range.  Configuration precedence is built-in defaults, then
+the --config file, then explicit flags.
 """
 from __future__ import annotations
 

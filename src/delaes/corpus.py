@@ -137,9 +137,9 @@ class Essay:
 class EssaySet:
     """Ordered essays of one prompt, the ``prompt_id`` of ``score_range``.
 
-    Essay ids are unique and every essay has a token (else
-    :class:`UsageError`), and every raw score lies in the range (else
-    :class:`ScoreRangeError`), each error naming the essay.
+    Ids and raw scores are ints, not bools, tokens a tuple, ids unique and
+    every essay has a token (else :class:`UsageError`), every raw score in
+    the range (else :class:`ScoreRangeError`), each error naming the essay.
     """
 
     essays: tuple[Essay, ...]
@@ -148,6 +148,11 @@ class EssaySet:
     def __post_init__(self):
         seen = set()
         for essay in self.essays:
+            for name, kind in (("essay_id", int), ("tokens", tuple), ("raw_score", int)):
+                value = getattr(essay, name)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise UsageError(f"essay {essay.essay_id!r}: {name} is a "
+                                     f"{type(value).__name__}")
             if essay.essay_id in seen:
                 raise UsageError(f"duplicate essay id {essay.essay_id}")
             seen.add(essay.essay_id)
@@ -171,13 +176,15 @@ class EssaySet:
 class Vocabulary:
     """Immutable token-to-index map with reserved PAD (0) and UNK (1) slots.
 
-    Corpus tokens occupy indices >= 2, assigned by descending frequency with
-    lexicographic tie-breaking, so construction is deterministic.
+    Corpus tokens occupy indices >= 2 in the order given: strings, each
+    once and neither reserved token (else :class:`UsageError`).
     """
 
     def __init__(self, corpus_tokens: Sequence[str]):
         index = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
         for token in corpus_tokens:
+            if not isinstance(token, str):  # first: a list would fail the lookup
+                raise UsageError(f"token {token!r} is not a string")
             if token in index:
                 raise UsageError(f"token {token!r} duplicated or reserved")
             index[token] = len(index)
@@ -207,7 +214,7 @@ class Vocabulary:
 
 
 def build_vocabulary(sets: Iterable[EssaySet], min_count: int = 1) -> Vocabulary:
-    """Build a vocabulary of tokens occurring at least ``min_count`` times."""
+    """Tokens seen ``min_count`` times or more, commonest first, ties by code point."""
     if min_count < 1:
         raise UsageError("min_count must be >= 1")
     counts: Counter[str] = Counter()
@@ -215,7 +222,8 @@ def build_vocabulary(sets: Iterable[EssaySet], min_count: int = 1) -> Vocabulary
         for essay in essay_set:
             counts.update(essay.tokens)
     kept = [(token, n) for token, n in counts.items() if n >= min_count]
-    kept.sort(key=lambda item: (-item[1], item[0]))
+    # str() keeps every string and lets Vocabulary, not the sort, refuse the rest.
+    kept.sort(key=lambda item: (-item[1], str(item[0])))
     return Vocabulary([token for token, _ in kept])
 
 

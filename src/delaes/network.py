@@ -45,13 +45,13 @@ import contextlib
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import PAD_INDEX, Vocabulary
+from .corpus import PAD_INDEX
 from .embedding import EmbeddingMatrix
 from .errors import DomainError, UsageError
 
@@ -92,17 +92,16 @@ class ModelParameters:
     ``tensors`` holds the names and order of :func:`expected_shapes`: the
     embedding, then per window ``k`` the ``conv{k}`` weights and bias and the
     ``gru{k}.fw``/``gru{k}.bw`` gate matrices, then the dense head.  Names and
-    shapes are validated on construction; pass ``vocab`` to also require one
-    embedding row per vocabulary entry.
+    shapes are validated on construction.
     """
 
     config: TrainConfig
     tensors: dict[str, np.ndarray]
-    vocab: InitVar[Vocabulary | None] = None
 
-    def __post_init__(self, vocab: Vocabulary | None):
-        rows = vocab.size if vocab is not None else len(self.tensors.get("embedding", ()))
-        expected = expected_shapes(self.config, rows)
+    def __post_init__(self):
+        # np.shape, as a rank-0 embedding has no rows to count.
+        rows = np.shape(self.tensors.get("embedding", ()))[:1]
+        expected = expected_shapes(self.config, rows[0] if rows else 0)
         missing = sorted(set(expected) - set(self.tensors))
         extra = sorted(set(self.tensors) - set(expected))
         if missing or extra:
@@ -739,8 +738,8 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     """Score a padded batch; returns predictions (B,) and the cache that
     :func:`backward_batch` reads.
 
-    ``indices`` (B, L) holds vocabulary rows in ``[0, V)``; ``mask``, of
-    the same shape, marks each row's real tokens, which come first, and
+    ``indices`` (B, L) holds integer vocabulary rows in ``[0, V)``; ``mask``,
+    of the same shape, marks each row's real tokens, which come first, and
     every row has at least one.  Any other input raises :class:`UsageError`
     (a bad index is reported before a token after padding, and that before
     a row with no real token).  ``drop_mask`` is a fixed dropout realization
@@ -756,6 +755,8 @@ def forward_batch(indices: np.ndarray, mask: np.ndarray,
     keep = drop_mask is not None
     if indices.ndim != 2 or mask.shape != indices.shape:
         raise UsageError(f"indices {indices.shape} and mask {mask.shape}: not one 2-d shape")
+    if indices.dtype.kind not in "iu":
+        raise UsageError(f"token indices of dtype {indices.dtype}, not integers")
     if indices.size and not 0 <= indices.min() <= indices.max() < params.vocab_size:
         bad = indices.min() if indices.min() < 0 else indices.max()
         raise UsageError(f"token index {bad} outside vocabulary of size {params.vocab_size}")

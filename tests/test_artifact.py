@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaes import DomainError, FormatError, UsageError, forward, load_model, save_model
-from delaes.corpus import ScoreRange
+from delaes import (
+    ENCODINGS,
+    DomainError,
+    FormatError,
+    UsageError,
+    Vocabulary,
+    forward,
+    load_model,
+    save_model,
+)
+from delaes.corpus import PAD_TOKEN, UNK_TOKEN, ScoreRange
 
 from synthdata import tiny_model
 
@@ -47,14 +56,16 @@ class TestRoundTrip:
         assert loaded.vocab.corpus_tokens() == vocab.corpus_tokens()
         assert loaded.score_range == score_range
         assert loaded.params.config == params.config
-        assert loaded.created is None
 
-    def test_created_field_persisted_when_given(self, tmp_path):
-        _, vocab, params = tiny_model(dtype=np.float32)
-        path = tmp_path / "m.bin"
-        save_model(params, vocab, ScoreRange(1, 0, 3), path,
-                   created="2026-08-08T00:00:00Z")
-        assert load_model(path).created == "2026-08-08T00:00:00Z"
+    @pytest.mark.parametrize("created", [None, "2026-08-08T00:00:00Z", 7])
+    def test_created_stamp_of_earlier_versions_ignored(self, saved, created):
+        path, vocab, params, _ = saved
+        assert b'"created"' not in path.read_bytes()
+        rewrite_metadata(path, lambda meta: meta.update(created=created))
+        loaded = load_model(path)
+        assert loaded.vocab.corpus_tokens() == vocab.corpus_tokens()
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(tensor, loaded.params.tensors[name])
 
     def test_encoding_recorded_only_when_given(self, saved, tmp_path):
         path, vocab, params, score_range = saved
@@ -74,19 +85,18 @@ class TestRoundTrip:
             save_model(params, vocab, score_range, unsaved, encoding=encoding)
         assert not unsaved.exists()
         rewrite_metadata(path, lambda meta: meta.update(encoding=encoding))
-        with pytest.raises(FormatError, match=re.escape(f"{path}: metadata field 'encoding'")):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unsupported "
+                                              f"encoding {re.escape(repr(encoding))} "
+                                              r"\(use latin1 or utf8\)$"):
             load_model(path)
 
-    @pytest.mark.parametrize("created", [7, 1.5, True, ["x"], [], {"a": 1}, {}])
-    def test_created_must_be_a_string_or_none(self, saved, tmp_path, created):
-        path, vocab, params, score_range = saved
+    def test_vocabulary_of_another_size_not_saved(self, saved, tmp_path):
+        _, _, params, score_range = saved
         unsaved = tmp_path / "m.bin"
-        with pytest.raises(UsageError, match="created must be a string or None"):
-            save_model(params, vocab, score_range, unsaved, created=created)
+        with pytest.raises(UsageError, match="^embedding has 8 rows, vocabulary has 3 "
+                                             "entries$"):
+            save_model(params, Vocabulary(["alpha"]), score_range, unsaved)
         assert not unsaved.exists()
-        rewrite_metadata(path, lambda meta: meta.update(created=created))
-        with pytest.raises(FormatError, match=re.escape(f"{path}: metadata field 'created'")):
-            load_model(path)
 
     def test_forward_identical_after_reload(self, saved):
         path, vocab, params, _ = saved
@@ -119,6 +129,39 @@ def test_accepted_score_range_survives_save_and_load(saved, tmp_path, fields):
     path = tmp_path / "range.bin"
     save_model(params, vocab, score_range, path)
     assert load_model(path).score_range == score_range
+
+
+_ANY_TOKEN = st.one_of(st.text(max_size=3), st.integers(-2, 2), st.none(),
+                       st.lists(st.text(max_size=1), max_size=1))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.lists(st.text(min_size=1, max_size=4), min_size=6, max_size=6, unique=True),
+                 st.lists(st.text(min_size=1, max_size=4), min_size=5, max_size=7, unique=True),
+                 st.lists(_ANY_TOKEN, min_size=5, max_size=7)),
+       st.one_of(st.sampled_from([*ENCODINGS, None]), st.sampled_from(["utf-8", 8, ["utf8"]])))
+def test_saved_model_loads_or_is_not_saved(saved, tmp_path, tokens, encoding):
+    """A vocabulary and encoding that save_model takes read back exactly;
+    anything load_model would refuse is refused before a file exists."""
+    _, _, params, score_range = saved
+    path = tmp_path / "drawn.bin"
+    path.unlink(missing_ok=True)
+    loadable = (all(isinstance(token, str) for token in tokens)
+                and len(set(tokens) | {PAD_TOKEN, UNK_TOKEN}) == len(tokens) + 2
+                and len(tokens) + 2 == params.vocab_size
+                and encoding in (None, "latin1", "utf8"))
+    if not loadable:
+        with pytest.raises(UsageError):
+            save_model(params, Vocabulary(tokens), score_range, path, encoding)
+        assert not path.exists()
+        return
+    save_model(params, Vocabulary(tokens), score_range, path, encoding)
+    loaded = load_model(path)
+    assert loaded.vocab.corpus_tokens() == tokens
+    assert loaded.encoding == encoding
+    for name, tensor in params.tensors.items():
+        assert loaded.params.tensors[name].tobytes() == tensor.tobytes(), name
 
 
 class TestRejection:
@@ -176,17 +219,33 @@ class TestRejection:
 
     def test_shape_metadata_mismatch(self, saved):
         path, *_ = saved
-        # grow the declared vocabulary: the stored embedding tensor no longer
-        # matches the shape the metadata implies
+        # grow the declared vocabulary: the stored embedding no longer has
+        # one row per vocabulary entry
         rewrite_metadata(path, lambda meta: meta["vocabulary"].append("extra-token"))
-        with pytest.raises(FormatError, match="shape"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: embedding has 8 "
+                                              "rows, vocabulary has 9 entries$"):
             load_model(path)
 
-    def test_non_string_vocabulary_token(self, saved):
+    @pytest.mark.parametrize("token", [5, None, ["x"], {"x": 1}])
+    def test_non_string_vocabulary_token(self, saved, token):
         path, *_ = saved
-        rewrite_metadata(path, lambda meta: meta["vocabulary"].__setitem__(0, 5))
-        with pytest.raises(FormatError, match=re.escape(
-                f"{path}: metadata field 'vocabulary' holds a non-string token")):
+        rewrite_metadata(path, lambda meta: meta["vocabulary"].__setitem__(0, token))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: token "
+                                              f"{re.escape(repr(token))} is not a string$"):
+            load_model(path)
+
+    def test_rank0_embedding(self, saved):
+        path, _, params, _ = saved
+        raw = path.read_bytes()
+        start = 12 + struct.unpack_from("<I", raw, 8)[0] + 4  # the first tensor
+        name = b"embedding"
+        assert raw[start + 4:start + 4 + len(name)] == name
+        size = 4 + len(name) + 4 + 8 + params.tensors["embedding"].nbytes
+        scalar = (struct.pack("<I", len(name)) + name + struct.pack("<I", 0)
+                  + np.ones((), dtype="<f4").tobytes())
+        path.write_bytes(raw[:start] + scalar + raw[start + size:])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: tensor "
+                                              r"'embedding' has shape \(\), expected "):
             load_model(path)
 
     @pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe"])

@@ -156,8 +156,9 @@ class TestValidation:
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(UsageError, match="seed"):
             TrainConfig(seed=-1)
-        with pytest.raises(UsageError, match="seed"):
-            read_config(write(tmp_path, "seed = -1\n"))
+        path = write(tmp_path, "seed = -1\n")
+        with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: seed must be >= 0$"):
+            read_config(path)
 
 
 class TestFromDict:

@@ -219,7 +219,8 @@ class TestLoadDataset:
     def test_embedded_tab_rejected(self, tmp_path):
         path = write(tmp_path / "d.tsv",
                      f"{TSV_HEADER}\n1\t1\thello\tworld again\t3\n")
-        with pytest.raises(FormatError, match="tab"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: expected 4 "
+                                              "tab-separated fields, found 5 "):
             load_dataset(path, 1, ScoreRange(1, 2, 4))
 
     def test_undecodable_utf8(self, tmp_path):
@@ -384,6 +385,35 @@ class TestEssaySetInvariants:
         with pytest.raises(UsageError, match="^essay 4: no tokens$"):
             EssaySet(essays, ScoreRange(1, 0, 2))
 
+    @pytest.mark.parametrize("essay, message", [
+        (Essay(1, ("a",), 2.5), "essay 1: raw_score is a float"),
+        (Essay(1, ("a",), True), "essay 1: raw_score is a bool"),
+        (Essay(1, "abc", 2), "essay 1: tokens is a str"),
+        (Essay(1, ["a"], 2), "essay 1: tokens is a list"),
+        (Essay("x", ("a",), 2), "essay 'x': essay_id is a str"),
+        (Essay(True, ("a",), 2), "essay True: essay_id is a bool"),
+        (Essay([1], ("a",), 2), "essay [1]: essay_id is a list"),
+    ], ids=["float-score", "bool-score", "str-tokens", "list-tokens", "str-id",
+            "bool-id", "list-id"])
+    def test_mistyped_field_names_the_essay(self, essay, message):
+        essays = (Essay(3, ("a",), 1), essay)
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            EssaySet(essays, ScoreRange(1, 0, 2))
+
     def test_vocabulary_rejects_reserved(self):
         with pytest.raises(UsageError):
             Vocabulary([PAD_TOKEN])
+
+    @pytest.mark.parametrize("token", [5, None, b"a", ["a"], ("a",)])
+    def test_vocabulary_rejects_a_token_that_is_not_a_string(self, token):
+        with pytest.raises(UsageError, match=f"^token {re.escape(repr(token))} is not "
+                                             "a string$"):
+            Vocabulary(["alpha", token])
+
+    @pytest.mark.parametrize("tokens", [(1, 2, 3, 4, 5, 6), ("a", 1), (None, "a", 2.5)])
+    def test_built_vocabulary_rejects_a_token_that_is_not_a_string(self, tokens):
+        """Refused by the Vocabulary rule, also when a non-string token ties
+        in count with a string."""
+        essays = EssaySet((Essay(1, tokens, 1),), ScoreRange(1, 0, 2))
+        with pytest.raises(UsageError, match="is not a string$"):
+            build_vocabulary([essays])

@@ -459,6 +459,17 @@ class TestForward:
         with pytest.raises(UsageError, match="2-d shape"):
             forward_batch(np.array(indices), np.array(mask), params)
 
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_batch_indices_not_integers_rejected(self, dtype, training):
+        """Not a bare IndexError from numpy, and bool is not read as 0/1."""
+        _, _, params = tiny_model()
+        indices, mask = pad_rows([[2, 3, 4], [5, 1]])
+        drop_mask = np.ones((2, summary_width(params.config))) if training else None
+        with pytest.raises(UsageError, match=f"^token indices of dtype "
+                                             f"{np.dtype(dtype)}, not integers$"):
+            forward_batch(indices.astype(dtype), mask, params, drop_mask)
+
 
 def oracle_forward(essay, params) -> float:
     """The scorer composed from the layer oracles, one unpadded essay at a
