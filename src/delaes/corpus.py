@@ -201,12 +201,21 @@ class Vocabulary:
     def token_at(self, index: int) -> str:
         return self._index_to_token[index]
 
-    def encode(self, tokens: Iterable[str]) -> list[int]:
+    def encode(self, tokens: Sequence[str]) -> list[int]:
         """Rows of ``tokens``.  An unknown token reads UNK, and so does the
         PAD token (row 0, the only false index): an encoded essay never
-        holds padding."""
+        holds padding.  An unhashable token raises :class:`UsageError`
+        naming its index in ``tokens``."""
         get = self._token_to_index.get
-        return [get(t) or UNK_INDEX for t in tokens]
+        try:
+            return [get(t) or UNK_INDEX for t in tokens]
+        except TypeError as exc:
+            for index, token in enumerate(tokens):
+                try:
+                    get(token)
+                except TypeError:
+                    raise UsageError(f"token {index}: {exc}") from None
+            raise UsageError(str(exc)) from None
 
     def corpus_tokens(self) -> list[str]:
         """Tokens in index order, excluding PAD and UNK."""
@@ -220,7 +229,10 @@ def build_vocabulary(sets: Iterable[EssaySet], min_count: int = 1) -> Vocabulary
     counts: Counter[str] = Counter()
     for essay_set in sets:
         for essay in essay_set:
-            counts.update(essay.tokens)
+            try:
+                counts.update(essay.tokens)
+            except TypeError as exc:
+                raise UsageError(f"essay {essay.essay_id}: {exc}") from None
     kept = [(token, n) for token, n in counts.items() if n >= min_count]
     # str() keeps every string and lets Vocabulary, not the sort, refuse the rest.
     kept.sort(key=lambda item: (-item[1], str(item[0])))

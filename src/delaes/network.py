@@ -28,16 +28,18 @@ batch rows; backward, the worker takes the input-gradient GEMM and its
 embedding scatter while the caller runs the weight-gradient GEMM.  Results
 are the same bit for bit either way.
 
-Padding only follows an essay's real tokens, and each row
-carries its real extent as a length: ``n`` tokens, ``max(n - k + 1, 0)``
-positions of window ``k``, and the pooled windows its unpadded map has.
-Past its length a row is treated exactly like the end of its essay, so
-padding cannot change a score, whatever the pool and stride: an essay
-scores the same alone or in any batch.  So the conv forward computes over
-each block of rows only up to the block's longest essay, and, as padding
-gets no gradient, the conv backward does too.  The training cache keeps,
-per channel, each window's argmax offset and whether its pooled value is
-positive, which is all the ReLU and the pool need in reverse.
+Padding only follows an essay's real tokens, and each row carries its real
+extent as a length: ``n`` tokens, ``max(n - k + 1, 0)`` positions of window
+``k``, and the pooled windows its unpadded map has.  Past its length a row
+is treated exactly like the end of its essay, so padding cannot change a
+score, whatever the pool and stride: an essay scores the same alone or in
+any batch.  So the conv forward computes over each block of rows only up
+to the block's longest essay, and, as padding gets no gradient, the conv
+backward does too.  The training cache keeps, per channel, each window's
+argmax offset and whether its pooled value is positive, all the ReLU and
+the pool need in reverse, and of each GRU step only the rows it computed:
+their state before the step and their gates, packed step after step, so it
+grows with the batch's real steps, not with its rows times its longest essay.
 """
 from __future__ import annotations
 
@@ -238,7 +240,7 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray,
     """
     w_x, u_zr, u_h = _fused_gates(p)
     gates = np.asarray(x_t)[None] @ w_x
-    return _gru_cell(gates, np.asarray(h_prev)[None], u_zr, u_h)[0]
+    return _gru_cell(gates, np.asarray(h_prev)[None], u_zr, u_h, gates)[0]
 
 
 def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
@@ -251,9 +253,9 @@ def bigru_forward(seq: np.ndarray, fw: Mapping[str, np.ndarray],
     at the first].  Initial states are zero.
     """
     summary, cache = _bigru_batch(np.asarray(seq)[None], np.array([len(seq)]), fw, bw)
-    outputs = np.concatenate([cache["fw"]["h"][1:, 0], cache["bw"]["h"][1:, 0][::-1]],
-                             axis=1)
-    return outputs, summary[0]
+    fw_states, bw_states = (np.concatenate([cache[d]["h_prev"], cache[d]["h"]])[1:]
+                            for d in ("fw", "bw"))
+    return np.concatenate([fw_states, bw_states[::-1]], axis=1), summary[0]
 
 
 def forward(essay_indices, params: ModelParameters) -> float:
@@ -519,25 +521,25 @@ def _fused_gates(gates: Mapping[str, np.ndarray]):
     return np.concatenate([w_z, w_r, w_h]).T, np.concatenate([u_z, u_r]).T, u_h
 
 
-def _gru_cell(gates: np.ndarray, h: np.ndarray, u_zr: np.ndarray,
-              u_h: np.ndarray) -> np.ndarray:
+def _gru_cell(gates: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray,
+              zrc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One recurrence step on row-stacked states (B, H); returns the new state.
 
     z = sigmoid(w_z x + u_z h);  r = sigmoid(w_r x + u_r h)
     c = tanh(w_h x + u_h (r * h));  h' = (1 - z) * h + z * c
 
-    ``gates`` (B, 3H) holds the input projections ``[w_z x | w_r x | w_h x]``
-    on entry and is overwritten with ``[z | r | c]``; ``u_zr`` and ``u_h``
+    ``gates`` (B, 3H) holds the input projections ``[w_z x | w_r x | w_h x]``;
+    ``[z | r | c]`` go to ``zrc`` (which may be ``gates``) and ``h'`` to
+    ``out`` (which may be ``h``; None: a new array).  ``u_zr`` and ``u_h``
     come from :func:`_fused_gates`.
     """
     hidden = h.shape[1]
-    zr = gates[:, :2 * hidden]
-    zr += h @ u_zr
+    zr = np.add(gates[:, :2 * hidden], h @ u_zr, out=zrc[:, :2 * hidden])
     sigmoid(zr, out=zr)
-    z, r, c = zr[:, :hidden], zr[:, hidden:], gates[:, 2 * hidden:]
-    c += (r * h) @ u_h.T
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    c = np.add(gates[:, 2 * hidden:], (r * h) @ u_h.T, out=zrc[:, 2 * hidden:])
     np.tanh(c, out=c)
-    return (1.0 - z) * h + z * c
+    return np.add((1.0 - z) * h, z * c, out=out)
 
 
 def _prefix_lengths(mask: np.ndarray) -> np.ndarray:
@@ -552,46 +554,43 @@ def _prefix_lengths(mask: np.ndarray) -> np.ndarray:
 def _gru_scan(x: np.ndarray, active: np.ndarray, gates: Mapping[str, np.ndarray],
               keep: bool = True) -> dict:
     """Scan one direction, a gate-name map as for :func:`gru_step`, over
-    time-major input (T, B, I).
+    time-major input (T, B, I) from a zero state; returns ``h`` (B, H), each
+    row's state after its last real step.
 
-    Returns stacked states and gate values; ``h`` has T+1 entries with the
-    zero initial state first.  With ``keep`` false (inference) the scan
-    updates one running state in place and returns only ``h``, holding the
-    final state as its single entry.
+    Step ``t`` computes only the first ``active[t]`` rows (rows sorted by
+    descending length), advancing one running state in place.  With
+    ``keep`` the scan also packs each step's live rows, step after step, for
+    :func:`_gru_scan_backward`: ``h_prev`` (Σ active, H) the state before
+    the step and ``zrc`` (Σ active, 3H) its gates ``[z | r | c]``.
 
     The input projections are one matmul per :func:`_row_blocks` block of
-    steps, into the (T, B, 3H) buffer that ``keep`` returns, or else into one
-    reused block buffer, so inference never holds more than
-    :data:`_BLOCK_BYTES` of them.  Each step overwrites its projections with
-    its gates; ``z``, ``r`` and ``c`` are views of the buffer.  Step ``t``
-    computes only the first ``active[t]`` rows (rows sorted by descending
-    length); the others carry their state, and their gate values are
-    unspecified.  The projection covers every row, padded ones too: with
-    fewer rows the BLAS may pick another kernel, which rounds differently.
+    steps into one reused buffer, so no scan holds more than
+    :data:`_BLOCK_BYTES` of them.  They cover every row, padded ones too:
+    with fewer rows the BLAS may pick another kernel, which rounds differently.
     """
     w_x, u_zr, u_h = _fused_gates(gates)
     steps, batch, _ = x.shape
     hidden = u_h.shape[0]
     blocks = _row_blocks(steps, batch * 3 * hidden * x.itemsize)
-    buf = np.empty((steps if keep or not blocks else blocks[0].stop, batch, 3 * hidden),
-                   dtype=x.dtype)
-    hs = np.zeros((steps + 1 if keep else 1, batch, hidden), dtype=x.dtype)
+    buf = np.empty((blocks[0].stop if blocks else 0, batch, 3 * hidden), dtype=x.dtype)
+    h = np.zeros((batch, hidden), dtype=x.dtype)
     steps_active = active.tolist()
+    live = sum(steps_active) if keep else 0
+    zrc, h_prev = (np.empty((live, n * hidden), dtype=x.dtype) for n in (3, 1))
+    row = 0
     for block in blocks:
-        start = block.start
-        projected = np.matmul(x[block], w_x,
-                              out=buf[block] if keep else buf[:block.stop - start])
-        for t in range(start, block.stop):
+        projected = np.matmul(x[block], w_x, out=buf[:block.stop - block.start])
+        for t in range(block.start, block.stop):
             a = steps_active[t]
-            prev, new = (hs[t], hs[t + 1]) if keep else (hs[0], hs[0])
+            gates_t = projected[t - block.start, :a]
+            prev, zrc_t = h[:a], gates_t
             if keep:
-                new[a:] = prev[a:]
+                prev, zrc_t = h_prev[row:row + a], zrc[row:row + a]
+                prev[...] = h[:a]
+                row += a
             if a:
-                new[:a] = _gru_cell(projected[t - start, :a], prev[:a], u_zr, u_h)
-    if not keep:
-        return {"h": hs}
-    return {"x": x, "active": active, "h": hs, "z": buf[:, :, :hidden],
-            "r": buf[:, :, hidden:2 * hidden], "c": buf[:, :, 2 * hidden:]}
+                _gru_cell(gates_t, prev, u_zr, u_h, zrc_t, out=h[:a])
+    return {"x": x, "active": active, "h": h, "h_prev": h_prev, "zrc": zrc} if keep else {"h": h}
 
 
 def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
@@ -602,26 +601,26 @@ def _gru_scan_backward(cache: dict, gates: Mapping[str, np.ndarray],
     is the gradient on the state after the last step, the only state the
     channel summary reads.  Returns the input gradient (T, B, I) and the
     gate gradients keyed by gate name, in gate order.  Step ``t`` works on
-    the first ``active[t]`` rows, as the forward scan did; the other rows
-    carry their gradient.  The carried state gradient is flushed to zero
-    below ``finfo.tiny / finfo.eps`` after every step (see the note by
-    ``_GATE_NAMES``).
+    the first ``active[t]`` rows, reading their packed slices of the cache,
+    as the forward scan did; the other rows carry their gradient.  The
+    carried state gradient is flushed to zero below ``finfo.tiny /
+    finfo.eps`` after every step (see the note by ``_GATE_NAMES``).
     """
     w_z, w_r, w_h, u_z, u_r, u_h = (gates[name] for name in _GATE_NAMES)
-    x, active = cache["x"], cache["active"].tolist()
-    hs, zs, rs, cs = cache["h"], cache["z"], cache["r"], cache["c"]
-    steps = x.shape[0]
+    x, active, zrc, hs = cache["x"], cache["active"].tolist(), cache["zrc"], cache["h_prev"]
+    row, hidden = hs.shape
     info = np.finfo(x.dtype)
     flush = info.tiny / info.eps
     dh = d_final.astype(x.dtype).copy()
     dx = np.zeros_like(x)
     g_w_z, g_w_r, g_w_h, g_u_z, g_u_r, g_u_h = (np.zeros_like(gates[n]) for n in _GATE_NAMES)
-    for t in range(steps - 1, -1, -1):
+    for t in range(x.shape[0] - 1, -1, -1):
         a = active[t]
         if not a:
             continue
-        x_t, dx_t = x[t, :a], dx[t, :a]
-        z, r, c, h_prev = zs[t, :a], rs[t, :a], cs[t, :a], hs[t, :a]
+        row -= a
+        x_t, dx_t, h_prev = x[t, :a], dx[t, :a], hs[row:row + a]
+        z, r, c = (zrc[row:row + a, i * hidden:(i + 1) * hidden] for i in range(3))
         d_new = dh[:a]
         dz = d_new * (c - h_prev)
         dc = d_new * z
@@ -709,7 +708,7 @@ def _bigru_batch(pooled: np.ndarray, lengths: np.ndarray, fw: Mapping[str, np.nd
     fw_cache, bw_cache = _both_directions(lambda: _gru_scan(x, active, fw, keep),
                                           lambda: _gru_scan(x[::-1], active[::-1], bw, keep),
                                           worker)
-    summary = np.concatenate([fw_cache["h"][-1], bw_cache["h"][-1]], axis=1)
+    summary = np.concatenate([fw_cache["h"], bw_cache["h"]], axis=1)
     return summary, ({"fw": fw_cache, "bw": bw_cache} if keep else None)
 
 
@@ -725,7 +724,7 @@ def _bigru_batch_backward(cache: dict, fw: Mapping[str, np.ndarray],
         lambda: _gru_scan_backward(cache["fw"], fw, d_summary[:, :hidden]),
         lambda: _gru_scan_backward(cache["bw"], bw, d_summary[:, hidden:]),
         worker)
-    return (dx_fw + dx_bw[::-1]).transpose(1, 0, 2), (g_fw, g_bw)
+    return np.add(dx_fw, dx_bw[::-1], out=dx_fw).transpose(1, 0, 2), (g_fw, g_bw)
 
 
 def _window_gates(tensors: Mapping[str, np.ndarray], k: int):
@@ -839,7 +838,7 @@ def backward_batch(cache: dict, params: ModelParameters, d_yhat: np.ndarray
     g_embedding = np.zeros_like(tensors["embedding"])
     with _batch_worker(len(yhat), cfg.hidden_units) as worker:
         for ci, k in enumerate(cfg.windows):
-            # Free each channel's cache once used: ~200 MB of GRU states at paper shapes.
+            # Free each channel's cache once used: ~150 MB of GRU rows at paper shapes.
             ch_cache, channels[ci] = channels[ci], None
             d_pooled, g = _bigru_batch_backward(
                 ch_cache.pop("bigru"), *_window_gates(tensors, k),

@@ -196,6 +196,31 @@ def gru_scan_full(x, valid, gates):
     return {"x": x, "valid": valid, "h": hs, "z": zs, "r": rs, "c": cs}
 
 
+def padded_scan_cache(cache):
+    """The padded (time, row) view of a library scan cache, with the keys of
+    :func:`gru_scan_full`.
+
+    The library keeps only each step's live rows, packed step after step:
+    ``h_prev`` the state before the step and ``zrc`` the gates ``[z | r |
+    c]``, beside each row's final state ``h``.  Here ``h`` (T+1, B, H) holds
+    each step's state before it and the final state last: as a full-width
+    scan carries it, a row's state is zero up to its first real step and
+    its final state after its last.  ``z``, ``r`` and ``c`` (T, B, H) are
+    NaN wherever the step is not real.
+    """
+    x, final = cache["x"], cache["h"]
+    steps, batch, hidden = x.shape[0], *final.shape
+    valid = np.arange(batch) < cache["active"][:, None]
+    done = np.concatenate([np.zeros((1, batch), dtype=bool),
+                           valid.cumsum(axis=0) == valid.sum(axis=0)])
+    hs = np.where(done[..., None], final, np.zeros_like(final))
+    hs[:-1][valid] = cache["h_prev"]
+    gates = np.full((steps, batch, 3 * hidden), np.nan, dtype=x.dtype)
+    gates[valid] = cache["zrc"]
+    return {"x": x, "valid": valid, "h": hs, "z": gates[..., :hidden],
+            "r": gates[..., hidden:2 * hidden], "c": gates[..., 2 * hidden:]}
+
+
 def conv_batch_loop(emb, weights, bias):
     """Pre-activations (B, P, F) of one channel: one product per window offset.
 

@@ -28,7 +28,7 @@ from delaes.training import evaluate_qwk
 
 from cli_driver import train_micro_model
 from gradcheck import check_gradients
-from oracles import gru_step_scalar, qwk_oracle
+from oracles import gru_step_scalar, padded_scan_cache, qwk_oracle
 from synthdata import make_corpus, make_table, overfit_config, tiny_model
 from test_gradients import one_essay_batch
 from test_network import random_direction, scalar_direction
@@ -105,7 +105,7 @@ def test_criterion_3_gru_equation_conformance():
         hidden, inputs, steps, batch = 5, 3, 10, 500
         direction = random_direction(rng, hidden, inputs, scale=1.0)
         x = rng.normal(0, 1.5, (steps, batch, inputs))
-        cache = _gru_scan(x, np.full(steps, batch), direction)
+        cache = padded_scan_cache(_gru_scan(x, np.full(steps, batch), direction))
         for gate in ("z", "r"):
             values = cache[gate]
             gates_ok &= bool(((values > 0) & (values < 1)).all())

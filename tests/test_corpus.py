@@ -417,3 +417,19 @@ class TestEssaySetInvariants:
         essays = EssaySet((Essay(1, tokens, 1),), ScoreRange(1, 0, 2))
         with pytest.raises(UsageError, match="is not a string$"):
             build_vocabulary([essays])
+
+    @pytest.mark.parametrize("token, kind", [(["a"], "list"), ({"a": 1}, "dict"),
+                                             (("a", ["b"]), "list")])
+    def test_built_vocabulary_names_the_essay_of_an_unhashable_token(self, token, kind):
+        """Not a bare TypeError from counting the tokens."""
+        essays = EssaySet((Essay(3, ("a",), 1), Essay(7, ("a", token), 1)),
+                          ScoreRange(1, 0, 2))
+        with pytest.raises(UsageError, match=f"^essay 7: unhashable type: '{kind}'$"):
+            build_vocabulary([essays])
+
+    @pytest.mark.parametrize("tokens, index", [(["alpha", ["a"]], 1), ([{"a": 1}], 0),
+                                               (("x", "alpha", ("a", ["b"])), 2)])
+    def test_encode_names_the_index_of_an_unhashable_token(self, tokens, index):
+        """Not a bare TypeError from the token lookup."""
+        with pytest.raises(UsageError, match=f"^token {index}: unhashable type: "):
+            Vocabulary(["alpha"]).encode(tokens)

@@ -7,7 +7,7 @@ from delaes.network import _gru_scan, _gru_scan_backward, pad_rows
 from delaes.training import Batch, backward
 
 from gradcheck import check_gradients
-from oracles import gru_scan_backward_unflushed, relative_error
+from oracles import gru_scan_backward_unflushed, padded_scan_cache, relative_error
 from synthdata import tiny_model
 from test_network import random_direction
 
@@ -57,10 +57,10 @@ class TestGruScanIsolation:
 
         def loss_of():
             cache = _gru_scan(x, active, direction)
-            return 0.5 * float((cache["h"][-1] ** 2).sum()), cache
+            return 0.5 * float((cache["h"] ** 2).sum()), cache
 
         loss, cache = loss_of()
-        dx, grads = _gru_scan_backward(cache, direction, cache["h"][-1].copy())
+        dx, grads = _gru_scan_backward(cache, direction, cache["h"].copy())
 
         step = 1e-6
         for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h"):
@@ -111,8 +111,7 @@ class TestVanishingGradientFlush:
         d_final = rng.normal(size=(self.BATCH, self.HIDDEN)).astype(dtype)
         cache = _gru_scan(x, np.full(self.STEPS, self.BATCH), gates)
         got = _gru_scan_backward(cache, gates, d_final)
-        valid = np.ones((self.STEPS, self.BATCH), dtype=bool)
-        want = gru_scan_backward_unflushed({**cache, "valid": valid}, gates, d_final)
+        want = gru_scan_backward_unflushed(padded_scan_cache(cache), gates, d_final)
         return got, want
 
     @staticmethod

@@ -55,6 +55,7 @@ from oracles import (
     maxpool_backward_loop,
     maxpool_batch_loop,
     maxpool_oracle,
+    padded_scan_cache,
 )
 from gradcheck import _kink_floors
 from synthdata import tiny_model
@@ -619,7 +620,7 @@ class TestActiveSpanScan:
     def test_forward_matches_per_step_loop(self):
         _, gates, directions = self.setup()
         for x, valid in directions:
-            got = _gru_scan(x, valid.sum(axis=1), gates)
+            got = padded_scan_cache(_gru_scan(x, valid.sum(axis=1), gates))
             want = gru_scan_full(x, valid, gates)
             np.testing.assert_allclose(got["h"], want["h"], rtol=1e-12, atol=1e-15)
             # Gate values are defined wherever the step is valid.
@@ -903,9 +904,9 @@ class TestInferenceMode:
         active = (np.array([7, 5, 5, 2, 0, 0]) > np.arange(9)[:, None]).sum(axis=1)
         kept = _gru_scan(x, active, gates)
         running = _gru_scan(x, active, gates, keep=False)
-        assert list(running) == ["h"] and running["h"].shape == (1, 6, 4)
-        np.testing.assert_array_equal(running["h"][0].view(np.uint64),
-                                      kept["h"][-1].view(np.uint64))
+        assert list(running) == ["h"] and running["h"].shape == (6, 4)
+        np.testing.assert_array_equal(running["h"].view(np.uint64),
+                                      kept["h"].view(np.uint64))
 
     def test_one_step_projection_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(29)
@@ -913,12 +914,12 @@ class TestInferenceMode:
         x = rng.normal(size=(9, 6, 3))
         lengths = np.array([7, 5, 5, 2, 0, 0])
         active = (lengths > np.arange(9)[:, None]).sum(axis=1)
-        whole = _gru_scan(x, active, gates)
+        whole = padded_scan_cache(_gru_scan(x, active, gates))
         monkeypatch.setattr(network, "_BLOCK_BYTES", 1)
-        blocked = _gru_scan(x, active, gates)
+        blocked = padded_scan_cache(_gru_scan(x, active, gates))
         running = _gru_scan(x, active, gates, keep=False)
         np.testing.assert_array_equal(blocked["h"].view(np.uint64), whole["h"].view(np.uint64))
-        np.testing.assert_array_equal(running["h"][0].view(np.uint64),
+        np.testing.assert_array_equal(running["h"].view(np.uint64),
                                       whole["h"][-1].view(np.uint64))
         valid = np.arange(9)[:, None] < lengths
         for name in ("z", "r", "c"):
@@ -941,6 +942,28 @@ class TestInferenceMode:
         finally:
             tracemalloc.stop()
         assert peak < steps * batch * 3 * hidden * x.itemsize / 4, peak
+
+    def test_training_scan_holds_only_live_rows(self):
+        """With ``keep`` the scan packs each step's live rows.  At T=400,
+        with half of 128 rows ending at step 40, it holds 58 MB of them and
+        one block of projections, where a (T, B, 3H) gate buffer and a
+        (T+1, B, H) state stack would take 105 MB."""
+        steps, batch, inputs, hidden = 400, 128, 16, 128
+        rng = np.random.default_rng(37)
+        gates = {name: g.astype(np.float32)
+                 for name, g in random_direction(rng, hidden, inputs, scale=0.1).items()}
+        x = rng.normal(size=(steps, batch, inputs)).astype(np.float32)
+        lengths = np.where(np.arange(batch) < batch // 2, steps, 40)
+        active = (lengths > np.arange(steps)[:, None]).sum(axis=1)
+        tracemalloc.start()
+        try:
+            _gru_scan(x, active, gates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = int(active.sum()) * 4 * hidden * x.itemsize
+        bound = packed + network._BLOCK_BYTES + (1 << 20)
+        assert peak < bound < 0.65 * steps * batch * 4 * hidden * x.itemsize, (peak, bound)
 
     def test_inference_peak_memory_below_half_of_training_mode(self):
         """numpy reports its buffers to tracemalloc, so this bound is

@@ -333,6 +333,12 @@ class TestPredictNormalized:
         with pytest.raises(UsageError, match=f"^token sequence {index} has no real token$"):
             predict_normalized(params, vocab, essays)
 
+    def test_unhashable_token_rejected(self):
+        """Not a bare TypeError from encoding the sequence."""
+        _, vocab, params = tiny_model()
+        with pytest.raises(UsageError, match=r"^token 0: unhashable type: 'list'$"):
+            predict_normalized(params, vocab, [["alpha"], [["a"], "alpha"]])
+
     def test_pad_token_scores_as_an_unknown_one(self):
         """The literal PAD token is text: it encodes as UNK, never as padding."""
         _, vocab, params = tiny_model()
